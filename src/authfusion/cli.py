@@ -205,10 +205,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed = secrets.randbits(32)
     print(f"seed: {seed}")
 
-    report = run_simulation(
-        scenario, catalog, policy, args.trials, seed,
-        workers=args.workers, engine=args.engine,
-    )
+    report = run_simulation(scenario, catalog, policy, args.trials, seed, workers=args.workers)
     csv_text = report_to_csv(report)
     summary_text = report_summary(report)
 
@@ -226,8 +223,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "catalog": catalog_path or "<built-in>",
                 "policy": str(policy_path),
             },
-            # workers/engine are execution details with no effect on results;
-            # recording them would break byte-identity across parallelism
+            # workers is an execution detail with no effect on results;
+            # recording it would break byte-identity across parallelism
             parameters={"trials": args.trials},
             seed=seed,
             outputs={
@@ -283,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="output directory for report.csv, summary.txt, manifest.json")
     p_sim.add_argument("--format", choices=("csv", "summary"), default="summary")
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--engine", choices=("auto", "vector", "machine"), default="auto")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

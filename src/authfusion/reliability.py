@@ -16,6 +16,7 @@ separately where a closed product form exists.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -268,7 +269,7 @@ def compose_weighted(
     _validate_pairs(pairs)
 
     if mode == "monte-carlo":
-        return _monte_carlo_weighted(pairs, weights, threshold, trials, seed, workers)
+        return _mc_rates(pairs, _weighted_rule(weights, threshold), trials, seed, workers)
     if mode != "exact":
         raise ConfigError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}", field="mode")
     if len(factors) > EXACT_WEIGHTED_LIMIT:
@@ -322,9 +323,18 @@ def _estimate(events: int, trials: int) -> RateEstimate:
     return RateEstimate(value=value, half_width=half_width, events=events, trials=trials)
 
 
-def _shard_sizes(trials: int) -> list[int]:
+def _run_shards(trials: int, seed_seq: np.random.SeedSequence, workers: int, shard_fn: Callable) -> list:
+    """shard_fn(child_seed, size) per shard of at most 65,536 trials, in
+    shard order. Each shard seeds from its own child of seed_seq, so results
+    match at any worker count; the pool never outgrows shards or cores."""
     full, rem = divmod(trials, _SHARD)
-    return [_SHARD] * full + ([rem] if rem else [])
+    sizes = [_SHARD] * full + ([rem] if rem else [])
+    jobs = list(zip(seed_seq.spawn(len(sizes)), sizes))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda job: shard_fn(*job), jobs))
+    return [shard_fn(*job) for job in jobs]
 
 
 def _simulate_counts(
@@ -334,35 +344,41 @@ def _simulate_counts(
     seed_seq: np.random.SeedSequence,
     workers: int,
 ) -> int:
-    """Count granted trials. Sharded with per-shard derived seeds and an
-    integer reduction, so the result is identical at any worker count."""
-    sizes = _shard_sizes(trials)
-    children = seed_seq.spawn(len(sizes))
+    """Count granted trials, summed over independently seeded shards."""
     probs = np.asarray(pass_probs)
 
-    def run(shard: int) -> int:
-        rng = np.random.default_rng(children[shard])
-        passes = rng.random((sizes[shard], len(probs))) < probs
+    def run(child: np.random.SeedSequence, size: int) -> int:
+        passes = np.random.default_rng(child).random((size, len(probs))) < probs
         return int(np.count_nonzero(grant_fn(passes)))
 
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(run, range(len(sizes))))
-    return sum(run(i) for i in range(len(sizes)))
+    return sum(_run_shards(trials, seed_seq, workers, run))
+
+
+def _weighted_rule(weights: Sequence[float], threshold: float) -> Callable[[np.ndarray], np.ndarray]:
+    w = np.asarray(weights)
+    return lambda passes: passes @ w > threshold
 
 
 def _grant_rule(policy: Policy, weights: Sequence[float] | None) -> Callable[[np.ndarray], np.ndarray]:
     kind = policy.strategy.kind
     if kind is StrategyKind.WEIGHTED:
-        w = np.asarray(weights)
-        threshold = policy.strategy.threshold
-        return lambda passes: passes @ w > threshold
+        return _weighted_rule(weights, policy.strategy.threshold)
     if kind is StrategyKind.ALL:
         return lambda passes: passes.all(axis=1)
     if kind is StrategyKind.ANY:
         return lambda passes: passes.any(axis=1)
     k = policy.strategy.k
     return lambda passes: passes.sum(axis=1) >= k
+
+
+def _mc_rates(pairs: Sequence[tuple[float, float]], grant: Callable, trials: int, seed: int, workers: int) -> MonteCarloRates:
+    """Seeded FAR/FRR estimate of a grant rule over (far, frr) pairs."""
+    if trials < 1:
+        raise ConfigError("trials must be at least 1", field="trials")
+    adversary_seq, legitimate_seq = np.random.SeedSequence(seed).spawn(2)
+    false_grants = _simulate_counts([far for far, _ in pairs], grant, trials, adversary_seq, workers)
+    grants = _simulate_counts([1.0 - frr for _, frr in pairs], grant, trials, legitimate_seq, workers)
+    return MonteCarloRates(far=_estimate(false_grants, trials), frr=_estimate(trials - grants, trials), seed=seed)
 
 
 def monte_carlo_rates(
@@ -380,8 +396,6 @@ def monte_carlo_rates(
 
     Deterministic for a given seed regardless of workers.
     """
-    if trials < 1:
-        raise ConfigError("trials must be at least 1", field="trials")
     if not factors:
         raise EvaluationError("factor list must be non-empty")
     weights = None
@@ -394,29 +408,8 @@ def monte_carlo_rates(
             weights.append(f.vendor_accuracy * trust.get(f.id, 1.0) * policy.weights[f.id])
     elif policy.strategy.kind is StrategyKind.KOFN and policy.strategy.k > len(factors):
         raise ConfigError(f"k={policy.strategy.k} exceeds the {len(factors)} factors", field="k")
-
-    grant = _grant_rule(policy, weights)
-    root = np.random.SeedSequence(seed)
-    adversary_seq, legitimate_seq = root.spawn(2)
-    false_grants = _simulate_counts([f.far for f in factors], grant, trials, adversary_seq, workers)
-    grants = _simulate_counts([1.0 - f.frr for f in factors], grant, trials, legitimate_seq, workers)
-    return MonteCarloRates(
-        far=_estimate(false_grants, trials),
-        frr=_estimate(trials - grants, trials),
-        seed=seed,
-    )
-
-
-def _monte_carlo_weighted(pairs, weights, threshold, trials, seed, workers) -> MonteCarloRates:
-    if trials < 1:
-        raise ConfigError("trials must be at least 1", field="trials")
-    w = np.asarray(weights)
-    grant = lambda passes: passes @ w > threshold
-    root = np.random.SeedSequence(seed)
-    adversary_seq, legitimate_seq = root.spawn(2)
-    false_grants = _simulate_counts([far for far, _ in pairs], grant, trials, adversary_seq, workers)
-    grants = _simulate_counts([1.0 - frr for _, frr in pairs], grant, trials, legitimate_seq, workers)
-    return MonteCarloRates(far=_estimate(false_grants, trials), frr=_estimate(trials - grants, trials), seed=seed)
+    pairs = [(f.far, f.frr) for f in factors]
+    return _mc_rates(pairs, _grant_rule(policy, weights), trials, seed, workers)
 
 
 # ---------------------------------------------------------------------------

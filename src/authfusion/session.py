@@ -8,14 +8,13 @@ transition function over immutable states; all randomness lives in the
 simulator, which samples factor outcomes from their FAR/FRR and feeds
 them in as events.
 
-The simulator has two engines over one shared sampling layer: "machine"
-drives every trial through SessionMachine.step, "vector" aggregates the
-same sampled outcomes with array arithmetic. They produce identical
-reports (the test suite holds them to that), so the fast path is safe for
-large trial counts; scenarios with context changes always use the
-machine. Sampling is sharded with per-shard derived seeds and a
-fixed-order reduction, making reports byte-stable for a given seed at any
-worker count.
+Every event time in a simulated session is fixed in advance, and context
+changes happen at fixed offsets, so the simulation plan resolves the
+context in force at each event once. The simulator then tallies the
+sampled outcomes with array arithmetic alone; the test suite holds it to
+the reports SessionMachine.step produces over the same samples. Sampling
+is sharded with per-shard derived seeds and a fixed-order reduction,
+making reports byte-stable for a given seed at any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -37,6 +35,7 @@ from .catalog import ActionMode, Factor, gate_factors
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
 from .fusion import EvidenceRecord, Policy, StrategyKind, decide
+from .reliability import _fmt17, _run_shards
 from .trust import effective_weights
 
 _PRE = SessionPhase.PRE_AUTHENTICATION
@@ -432,8 +431,7 @@ class Scenario:
     every factor the policy can score). takeover models a post-grant
     impostor: sessions authenticate with legitimate-user rates but
     monitoring validates against impostor behavior. context_changes apply
-    condition updates mid-session at the given offsets and force the
-    machine engine.
+    condition updates mid-session at the given offsets.
     """
 
     name: str = "scenario"
@@ -604,7 +602,7 @@ def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Pol
 
 
 # ---------------------------------------------------------------------------
-# Simulation plan: fixed per-session event layout shared by both engines
+# Simulation plan: the per-session event layout and the context at each event
 
 _MAX_CHECKS = 10_000
 
@@ -614,46 +612,69 @@ class _Firing:
     factor_id: str
     at: float
     trust: float
-    weight: float  # mu * tau * phi' (weighted policies; unused otherwise)
+
+
+@dataclass(frozen=True)
+class _Score:
+    """The sum of weights over the passing columns among cols, at `at`."""
+
+    at: float
+    cols: tuple[int, ...]
+    weights: tuple[float, ...]  # empty for counting rules, which count passes
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """Deterministic per-session event layout.
-
-    Factors already covered by fresh pre-authentication evidence are not
-    prompted again in the active phase; the decision consumes their pre
-    sample. decision_cols maps each expected factor that will have
-    evidence to its column in the sampled outcome matrix (pre block
-    first); expected factors with no column count as failed checks. The
-    active deadline waits for every still-needed factor's duration, so
-    the decision lands at active_end in every session.
-    """
+    """Per-session event layout, resolved against the context in force at
+    each event. Firings are scheduled from the initial context; column j
+    of the sampled outcomes is firing j of pre + active, and fresh pre
+    evidence is not prompted again. pre_scores is the score after each
+    scorable pre arrival in dispatch order; basic keeps each context
+    stretch's last, and highest, one. The decision lands at the first
+    scorable active arrival that completes the expected set, else at
+    active_end; late holds (column, scorable) for active arrivals
+    dispatched after it."""
 
     pre: tuple[_Firing, ...]
     active: tuple[_Firing, ...]
     pre_end: float
     active_end: float
-    decision_cols: tuple[int, ...]
-    decision_weights: tuple[float, ...]
+    pre_scores: tuple[_Score, ...]
+    basic: tuple[_Score, ...]
+    decision: _Score
+    late: tuple[tuple[int, bool], ...]
     check_times: tuple[float, ...]
+    check_scorable: tuple[bool, ...]
     monitor_factor: str | None
     monitor_trust: float
-    q_detect: float
-    q_false_alarm: float
-    kind: StrategyKind
-    k_eff: int
-    threshold: float
+    weighted: bool
+    threshold: float  # a counting rule's k_eff - 1: grants take more passes
     t_basic: float
-    n_expected: int
     horizon_end: float
-    vector_ok: bool
+
+
+def _context_timeline(scenario: Scenario) -> list[tuple[float, ContextState]]:
+    timeline = [(0.0, scenario.initial_context())]
+    for at, updates in scenario.context_changes:
+        timeline.append((at, timeline[-1][1].with_updates(updates)))
+    return timeline
 
 
 def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> tuple[SessionMachine, _Plan]:
     ctx = scenario.initial_context()
     machine = SessionMachine(catalog, policy, ctx=ctx, config=scenario.config)
     index = {f.id: f for f in catalog}
+    weighted = policy.strategy.kind is StrategyKind.WEIGHTED
+    if weighted:
+        machine.effective_policy(ctx)  # fails if the initial context leaves no usable factor
+    timeline = _context_timeline(scenario)
+
+    def context_at(at: float) -> tuple[int, ContextState]:
+        # the walk _machine_tally makes: every change up to and including `at`
+        i = 0
+        while i + 1 < len(timeline) and timeline[i + 1][0] <= at:
+            i += 1
+        return i, timeline[i][1]
 
     if scenario.factors is not None:
         chosen = [index[fid] for fid in scenario.factors]
@@ -661,11 +682,8 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         chosen = [f for f in catalog if f.id in machine._scope_ids]
     chosen_ids = {f.id for f in chosen}
 
-    eff_weights = machine.effective_policy(ctx).weights if policy.strategy.kind is StrategyKind.WEIGHTED else {}
-
     def firing(f: Factor, at: float) -> _Firing:
-        tau = scenario.trust.get(f.id, 1.0)
-        return _Firing(f.id, at, tau, f.vendor_accuracy * tau * eff_weights.get(f.id, 0.0))
+        return _Firing(f.id, at, scenario.trust.get(f.id, 1.0))
 
     pre_ids = machine._phase_ids(ctx, _PRE)
     pre = tuple(firing(f, f.duration.seconds) for f in chosen if f.id in pre_ids)
@@ -675,7 +693,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     # pre evidence that will still be fresh at the phase transition covers
     # its factor; the rest must be produced during active authentication
     cutoff = pre_end - scenario.config.staleness_horizon
-    fresh = {x.factor_id: i for i, x in enumerate(pre) if x.at >= cutoff}
+    fresh = {x.factor_id for x in pre if x.at >= cutoff}
     needed = [fid for fid in expected if fid not in fresh]
     active = tuple(
         firing(index[fid], pre_end + index[fid].duration.seconds)
@@ -683,16 +701,42 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         if fid in chosen_ids
     )
     active_end = pre_end + max((index[fid].duration.seconds for fid in needed), default=0.0)
+    firings = pre + active
+    mu_tau = [index[x.factor_id].vendor_accuracy * x.trust for x in firings]
 
-    act_col = {x.factor_id: len(pre) + j for j, x in enumerate(active)}
-    decision_cols: list[int] = []
-    decision_weights: list[float] = []
-    for fid in expected:
-        col = fresh.get(fid, act_col.get(fid))
-        if col is not None:
-            decision_cols.append(col)
-            source = pre[col] if col < len(pre) else active[col - len(pre)]
-            decision_weights.append(source.weight)
+    def score(at: float, now: ContextState, cols) -> _Score:
+        cols = tuple(sorted(cols))
+        if not (weighted and cols):
+            return _Score(at, cols, ())
+        phi = machine.effective_policy(now).weights
+        return _Score(at, cols, tuple(mu_tau[c] * phi.get(firings[c].factor_id, 0.0) for c in cols))
+
+    # each scorable pre arrival rescores the scorable evidence so far under
+    # the weights in force; they are non-negative, so within one context
+    # stretch the score never falls
+    scored, pre_scores, basic = [], [], {}
+    for col in sorted(range(len(pre)), key=lambda c: pre[c].at):
+        stretch, now = context_at(pre[col].at)
+        if pre[col].factor_id in machine._phase_ids(now, _PRE):
+            scored.append(col)
+            pre_scores.append(score(pre[col].at, now, scored))
+            basic[stretch] = pre_scores[-1]
+
+    present = {pre[c].factor_id: c for c in scored if pre[c].at >= cutoff}
+    order = sorted(range(len(active)), key=lambda j: active[j].at)
+    decided_at, late = active_end, []
+    for pos, j in enumerate(order):
+        wanted = machine.expected_factors(context_at(active[j].at)[1])
+        if active[j].factor_id in wanted:
+            present[active[j].factor_id] = len(pre) + j
+            if all(fid in present for fid in wanted):
+                decided_at, late = active[j].at, order[pos + 1:]
+                break
+    now = context_at(decided_at)[1]
+    decided_on = machine.expected_factors(now)
+
+    def monitorable(fid: str, at: float) -> bool:
+        return fid in machine._phase_ids(context_at(at)[1], _MON)
 
     monitor_factor = scenario.monitor_factor
     mon_ids = machine._phase_ids(ctx, _MON)
@@ -714,9 +758,10 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
             )
         check_times = tuple(active_end + (c + 1) * interval for c in range(n_checks))
 
+    # passes a counting rule needs; with nothing expected, ALL denies
     kind = policy.strategy.kind
     if kind is StrategyKind.ALL:
-        k_eff = len(expected)
+        k_eff = max(len(decided_on), 1)
     elif kind is StrategyKind.KOFN:
         k_eff = policy.strategy.k
     else:
@@ -727,20 +772,18 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         active=active,
         pre_end=pre_end,
         active_end=active_end,
-        decision_cols=tuple(decision_cols),
-        decision_weights=tuple(decision_weights),
+        pre_scores=tuple(pre_scores),
+        basic=tuple(basic.values()),
+        decision=score(decided_at, now, [present[fid] for fid in decided_on if fid in present]),
+        late=tuple((len(pre) + j, monitorable(active[j].factor_id, active[j].at)) for j in late),
         check_times=check_times,
+        check_scorable=tuple(monitorable(monitor_factor, t) for t in check_times),
         monitor_factor=monitor_factor,
         monitor_trust=scenario.trust.get(monitor_factor, 1.0) if monitor_factor else 1.0,
-        q_detect=scenario.config.monitor.per_check_detection,
-        q_false_alarm=scenario.config.monitor.per_check_false_alarm,
-        kind=kind,
-        k_eff=k_eff,
-        threshold=policy.strategy.threshold if kind is StrategyKind.WEIGHTED else float(k_eff),
+        weighted=weighted,
+        threshold=policy.strategy.threshold if weighted else float(k_eff - 1),
         t_basic=machine.t_basic,
-        n_expected=len(expected),
         horizon_end=active_end + scenario.config.horizon,
-        vector_ok=not scenario.context_changes,
     )
     return machine, plan
 
@@ -756,7 +799,8 @@ def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenari
     legit = np.array([1.0 - index[x.factor_id].frr for x in firings])
     passes = u < np.where(adversary[:, None], far, legit)
     u_checks = rng.random((size, len(plan.check_times)))
-    q = np.where(adversary | scenario.takeover, plan.q_detect, plan.q_false_alarm)
+    monitor = scenario.config.monitor
+    q = np.where(adversary | scenario.takeover, monitor.per_check_detection, monitor.per_check_false_alarm)
     fails = u_checks < q[:, None]
     return adversary, passes, fails
 
@@ -780,7 +824,7 @@ class _Tally:
 def _score_table(weights: tuple[float, ...]) -> "np.ndarray | None":
     """Exactly rounded subset-sum per pass mask; None above the size cap."""
     n = len(weights)
-    if n == 0 or n > 16:
+    if n > 16:
         return None
     table = np.empty(1 << n)
     for mask in range(1 << n):
@@ -789,11 +833,9 @@ def _score_table(weights: tuple[float, ...]) -> "np.ndarray | None":
 
 
 def _exact_weighted(passes: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
-    """Per-row weighted score with math.fsum rounding, so the vector
-    engine compares against thresholds in exactly the same bits decide()
-    produces in the machine engine."""
-    if passes.shape[1] == 0:
-        return np.zeros(len(passes))
+    """Per-row weighted score with math.fsum rounding, so the tally
+    compares against thresholds in exactly the same bits decide() and
+    SessionMachine produce."""
     table = _score_table(weights)
     if table is not None:
         powers = 1 << np.arange(passes.shape[1], dtype=np.int64)
@@ -805,28 +847,24 @@ def _exact_weighted(passes: np.ndarray, weights: tuple[float, ...]) -> np.ndarra
     )
 
 
+def _score(plan: _Plan, passes: np.ndarray, point: _Score) -> np.ndarray:
+    cols = passes[:, list(point.cols)]
+    return _exact_weighted(cols, point.weights) if plan.weighted else cols.sum(axis=1)
+
+
+def _first_basic(plan: _Plan, passes: np.ndarray, points: Sequence[_Score]) -> np.ndarray:
+    """Per session, the first point beating t_basic; len(points) if none."""
+    first = np.full(len(passes), len(points))
+    for i in reversed(range(len(points))):
+        first[_score(plan, passes, points[i]) > plan.t_basic] = i
+    return first
+
+
 def _vector_tally(plan: _Plan, adversary, passes, fails) -> _Tally:
     size = len(adversary)
-    n_pre = len(plan.pre)
-    pre_passes = passes[:, :n_pre]
-    dec_passes = passes[:, list(plan.decision_cols)]
-
-    if plan.kind is StrategyKind.WEIGHTED:
-        basic = _exact_weighted(pre_passes, tuple(x.weight for x in plan.pre)) > plan.t_basic
-        grant = _exact_weighted(dec_passes, plan.decision_weights) > plan.threshold
-        if plan.n_expected == 0:
-            grant = np.zeros(size, dtype=bool)
-    else:
-        basic = pre_passes.sum(axis=1) > plan.t_basic
-        if plan.n_expected == 0:
-            grant = np.zeros(size, dtype=bool)
-        elif plan.kind is StrategyKind.ALL:
-            # expected factors with no evidence source count as failed checks
-            grant = dec_passes.all(axis=1) & (len(plan.decision_cols) == plan.n_expected)
-        elif plan.kind is StrategyKind.ANY:
-            grant = dec_passes.any(axis=1)
-        else:
-            grant = dec_passes.sum(axis=1) >= plan.k_eff
+    basic = _first_basic(plan, passes, plan.basic) < len(plan.basic)
+    grant = _score(plan, passes, plan.decision) > plan.threshold
+    decided_at = plan.decision.at
 
     tally = _Tally()
     tally.sessions = size
@@ -835,47 +873,40 @@ def _vector_tally(plan: _Plan, adversary, passes, fails) -> _Tally:
     tally.full_grants = int(grant.sum())
     tally.false_grants = int((grant & adversary).sum())
     tally.false_denials = int((~grant & ~adversary).sum())
-    tally.full_time_sum = tally.full_grants * plan.active_end
+    tally.full_time_sum = tally.full_grants * decided_at
 
-    n_checks = len(plan.check_times)
-    monitor_fired = 0
-    if n_checks and plan.monitor_factor is not None:
-        any_fail = fails.any(axis=1)
-        first = fails.argmax(axis=1)
-        revoked = grant & any_fail
+    firings = plan.pre + plan.active
+    late = [col for col, _ in plan.late]
+    for col, x in enumerate(firings):
+        if col not in late:
+            phase = _PRE if col < len(plan.pre) else _ACT
+            tally.firings[(phase.value, x.factor_id)] += size
+
+    # after the decision, in dispatch order: late active arrivals, then the
+    # monitoring checks. A granted session stays live up to its first
+    # scorable failure, which revokes it.
+    checks = fails if all(plan.check_scorable) else fails & np.array(plan.check_scorable)
+    post = np.column_stack([~passes[:, col] & ok for col, ok in plan.late] + [checks]) if late else checks
+    if post.shape[1]:
+        first = post.argmax(axis=1)
+        revoked = grant & post.any(axis=1)
         tally.revocations = int(revoked.sum())
         tally.false_revocations = int((revoked & ~adversary).sum())
-        for c in range(n_checks):
-            hits = int((revoked & (first == c)).sum())
-            if hits:
-                tally.latencies[plan.check_times[c] - plan.active_end] += hits
-        # sessions run every check until revocation or the horizon
-        monitor_fired = tally.full_grants * n_checks - int(((n_checks - 1 - first) * revoked).sum())
-    for x in plan.pre:
-        tally.firings[(_PRE.value, x.factor_id)] += size
-    for x in plan.active:
-        tally.firings[(_ACT.value, x.factor_id)] += size
-    if monitor_fired:
-        tally.firings[(_MON.value, plan.monitor_factor)] += monitor_fired
+        cut = np.bincount(first[revoked], minlength=post.shape[1])
+        live = tally.full_grants - (np.cumsum(cut) - cut)
+        times = [firings[col].at for col in late] + list(plan.check_times)
+        for e in np.flatnonzero(cut):
+            tally.latencies[times[e] - decided_at] += int(cut[e])
+        for col, n in zip(late, live):
+            if n:
+                tally.firings[(_ACT.value, firings[col].factor_id)] += int(n)
+        checked = int(live[len(late):].sum())
+        if checked:
+            tally.firings[(_MON.value, plan.monitor_factor)] += checked
     return tally
 
 
-def _context_timeline(scenario: Scenario) -> list[tuple[float, ContextState]]:
-    timeline = [(0.0, scenario.initial_context())]
-    for at, updates in scenario.context_changes:
-        timeline.append((at, timeline[-1][1].with_updates(updates)))
-    return timeline
-
-
-def _machine_tally(
-    plan: _Plan,
-    scenario: Scenario,
-    machine: SessionMachine,
-    adversary,
-    passes,
-    fails,
-    collect_times: list | None = None,
-) -> _Tally:
+def _machine_tally(plan: _Plan, scenario: Scenario, machine: SessionMachine, adversary, passes, fails) -> _Tally:
     timeline = _context_timeline(scenario)
     n_pre = len(plan.pre)
 
@@ -949,10 +980,6 @@ def _machine_tally(
             if not adv:
                 tally.false_revocations += 1
             tally.latencies[state.revoked_at - state.monitor_started_at] += 1
-        if collect_times is not None:
-            collect_times.append(
-                (state.basic_granted_at, state.full_granted_at, adv)
-            )
     tally.full_time_sum = math.fsum(full_times)
     return tally
 
@@ -1044,7 +1071,16 @@ def _combine(tallies: Sequence[_Tally], seed: int) -> SimulationReport:
     )
 
 
-_SHARD = 1 << 16
+def _planned(scenario: Scenario, catalog: Sequence[Factor], policy: Policy, trials: int):
+    """The validated plan and a per-shard sampler for it."""
+    if trials < 1:
+        raise ConfigError("trials must be at least 1", field="trials")
+    problems = validate_scenario(scenario, catalog, policy)
+    if problems:
+        raise ConfigError("scenario invalid: " + "; ".join(problems))
+    _, plan = _build_plan(scenario, catalog, policy)
+    index = {f.id: f for f in catalog}
+    return plan, lambda child, size: _sample_shard(child, size, plan, scenario, index)
 
 
 def run_simulation(
@@ -1055,39 +1091,12 @@ def run_simulation(
     seed: int,
     *,
     workers: int = 1,
-    engine: str = "auto",
 ) -> SimulationReport:
     """Simulate `trials` sessions and aggregate. Deterministic for a given
-    seed at any worker count; both engines produce identical reports."""
-    if trials < 1:
-        raise ConfigError("trials must be at least 1", field="trials")
-    problems = validate_scenario(scenario, catalog, policy)
-    if problems:
-        raise ConfigError("scenario invalid: " + "; ".join(problems))
-    machine, plan = _build_plan(scenario, catalog, policy)
-    if engine == "auto":
-        engine = "vector" if plan.vector_ok else "machine"
-    if engine not in ("vector", "machine"):
-        raise ConfigError(f"engine must be auto, vector, or machine, got {engine!r}", field="engine")
-    if engine == "vector" and not plan.vector_ok:
-        raise ConfigError("this scenario needs the machine engine (context changes or stale evidence)", field="engine")
-
-    index = {f.id: f for f in catalog}
-    full, rem = divmod(trials, _SHARD)
-    sizes = [_SHARD] * full + ([rem] if rem else [])
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def run_shard(s: int) -> _Tally:
-        adversary, passes, fails = _sample_shard(children[s], sizes[s], plan, scenario, index)
-        if engine == "vector":
-            return _vector_tally(plan, adversary, passes, fails)
-        return _machine_tally(plan, scenario, machine, adversary, passes, fails)
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(run_shard, range(len(sizes))))
-    else:
-        tallies = [run_shard(s) for s in range(len(sizes))]
+    seed at any worker count."""
+    plan, sample = _planned(scenario, catalog, policy, trials)
+    tallies = _run_shards(trials, np.random.SeedSequence(seed), workers,
+                          lambda child, size: _vector_tally(plan, *sample(child, size)))
     return _combine(tallies, seed)
 
 
@@ -1118,39 +1127,35 @@ def time_to_grant(
     trials: int = 2000,
     seed: int = 0,
 ) -> GrantTiming:
-    """Run machine-driven trials and summarize grant timing."""
-    if trials < 1:
-        raise ConfigError("trials must be at least 1", field="trials")
-    problems = validate_scenario(scenario, catalog, policy)
-    if problems:
-        raise ConfigError("scenario invalid: " + "; ".join(problems))
-    machine, plan = _build_plan(scenario, catalog, policy)
-    index = {f.id: f for f in catalog}
-    times: list[tuple[float | None, float | None, bool]] = []
-    children = np.random.SeedSequence(seed).spawn(1)
-    adversary, passes, fails = _sample_shard(children[0], trials, plan, scenario, index)
-    _machine_tally(plan, scenario, machine, adversary, passes, fails, collect_times=times)
+    """Simulate trials and summarize grant timing. Full grants land at
+    the plan's decision time; Basic at the first pre-authentication
+    arrival whose score beats t_basic."""
+    plan, sample = _planned(scenario, catalog, policy, trials)
+    arrival = np.array([x.at for x in plan.pre_scores])
 
-    basics = [b for b, _, _ in times if b is not None]
-    fulls = [f for _, f, _ in times if f is not None]
-    actives = [f - plan.pre_end for f in fulls]
+    def run_shard(child: np.random.SeedSequence, size: int):
+        _, passes, _ = sample(child, size)
+        first = _first_basic(plan, passes, plan.pre_scores)
+        granted = _score(plan, passes, plan.decision) > plan.threshold
+        return arrival[first[first < len(arrival)]], int(granted.sum())
+
+    shards = _run_shards(trials, np.random.SeedSequence(seed), 1, run_shard)
+    basics = np.concatenate([times for times, _ in shards]).tolist()
+    fulls = sum(n for _, n in shards)
+    # every Full grant lands at the same plan-time decision
+    median_active = plan.decision.at - plan.pre_end if fulls else None
     budget = scenario.config.usability_budget
-    median_active = statistics.median(actives) if actives else None
     return GrantTiming(
         trials=trials,
         basic_grants=len(basics),
-        full_grants=len(fulls),
+        full_grants=fulls,
         median_time_to_basic=statistics.median(basics) if basics else None,
-        median_time_to_full=statistics.median(fulls) if fulls else None,
+        median_time_to_full=plan.decision.at if fulls else None,
         median_active_phase=median_active,
         usability_budget=budget,
         over_budget=median_active is not None and median_active > budget,
         degenerate=not fulls,
     )
-
-
-def _fmt17(value: float) -> str:
-    return "%.17g" % value
 
 
 def report_to_csv(report: SimulationReport) -> str:

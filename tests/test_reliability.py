@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -225,6 +226,24 @@ def test_weighted_capacity_error_directs_to_monte_carlo():
     est = compose_weighted(entries, 3.0, mode="monte-carlo", trials=20_000, seed=9)
     assert 0.0 <= est.far.value <= 1.0
     assert est.far.half_width > 0.0
+
+
+def test_weighted_monte_carlo_mode_matches_monte_carlo_rates():
+    # one estimator behind both entry points: the same factors, weights
+    # mu*tau*phi and seed give the same estimate
+    factors = [
+        replace(f, far=0.1 + 0.05 * i, frr=0.2 - 0.03 * i, vendor_accuracy=0.7 + 0.05 * i)
+        for i, f in enumerate(DEFAULT_CATALOG[:5])
+    ]
+    phi = {f.id: 0.5 + 0.25 * i for i, f in enumerate(factors)}
+    tau = {factors[0].id: 0.8, factors[3].id: 0.6}
+    policy = Policy(Strategy.weighted(1.7), phi)
+    entries = [(f.far, f.frr, f.vendor_accuracy, tau.get(f.id, 1.0), phi[f.id]) for f in factors]
+    for trials, workers in ((50_000, 1), (140_000, 2)):
+        via_compose = compose_weighted(entries, 1.7, mode="monte-carlo", trials=trials, seed=21, workers=workers)
+        via_rates = monte_carlo_rates(factors, policy, trials, seed=21, trust=tau, workers=workers)
+        assert via_compose == via_rates
+        assert via_compose.far.events > 0 and via_compose.frr.events > 0
 
 
 def test_weighted_tie_mass_goes_to_deny():

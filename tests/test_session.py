@@ -1,10 +1,15 @@
 """Session machine transitions, scenario handling, and the simulator."""
 
 import math
+import os
 import random
+import statistics
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from authfusion import reliability
 from authfusion.catalog import DEFAULT_CATALOG
 from authfusion.context import ContextState, SessionPhase
 from authfusion.errors import ConfigError, EvaluationError
@@ -12,14 +17,20 @@ from authfusion.fusion import EvidenceRecord, Policy, Strategy
 from authfusion.session import (
     ArrivalOfEvidence,
     GrantTier,
+    GrantTiming,
     MonitorConfig,
     PhaseTimeout,
     Scenario,
     SessionConfig,
     SessionMachine,
+    SessionState,
     SimulationReport,
     Terminal,
     Tick,
+    _build_plan,
+    _combine,
+    _machine_tally,
+    _sample_shard,
     load_scenario,
     report_summary,
     report_to_csv,
@@ -518,15 +529,7 @@ def test_run_simulation_argument_errors():
     with pytest.raises(ConfigError):
         run_simulation(sc, CATALOG3, W_POLICY, trials=0, seed=1)
     with pytest.raises(ConfigError):
-        run_simulation(sc, CATALOG3, W_POLICY, trials=10, seed=1, engine="warp")
-    with pytest.raises(ConfigError):
         run_simulation(Scenario(factors=("sonar",)), CATALOG3, W_POLICY, trials=10, seed=1)
-    changing = Scenario(
-        factors=("token", "facial", "pin_code"),
-        context_changes=((5.0, {"noise_level": "high"}),),
-    )
-    with pytest.raises(ConfigError):
-        run_simulation(changing, CATALOG3, W_POLICY, trials=10, seed=1, engine="vector")
 
 
 def test_simulation_structural_counts():
@@ -542,6 +545,21 @@ def test_simulation_structural_counts():
     assert report.false_grants <= report.adversary_sessions
     assert 0 < report.full_grants < 5000
     assert report.mean_time_to_full_grant == 8.5
+
+
+# the default context rules, as (condition, off value, on value)
+TOGGLES = (
+    ("gloves_worn", False, True),
+    ("darkness", False, True),
+    ("precipitation", False, True),
+    ("noise_level", "low", "high"),
+)
+
+
+def _phase_of(plan, at):
+    if at <= plan.pre_end:
+        return "pre"
+    return "active" if at <= plan.active_end else "monitoring"
 
 
 def _random_case(rng):
@@ -579,19 +597,168 @@ def _random_case(rng):
         trust={fid: rng.choice((1.0, 0.8, 0.5)) for fid in trusted},
         config=config,
     )
-    return scenario, policy
+
+    # 0-2 flips of a default-rule condition, in any phase, sometimes on an
+    # event's exact time; flipping one condition twice switches its
+    # factors off and back on
+    _, plan = _build_plan(scenario, DEFAULT_CATALOG, policy)
+    events = [x.at for x in plan.pre + plan.active] + list(plan.check_times)
+    bounds = {"pre": (0.0, plan.pre_end), "active": (plan.pre_end, plan.active_end),
+              "monitoring": (plan.active_end, plan.horizon_end)}
+    offsets = []
+    for _ in range(rng.randint(0, 2)):
+        lo, hi = bounds[rng.choice([p for p, (lo, hi) in bounds.items() if hi > lo])]
+        inside = [t for t in events if lo < t <= hi]
+        offsets.append(rng.choice(inside) if inside and rng.random() < 0.3 else rng.uniform(lo, hi))
+    toggle = rng.choice(TOGGLES)
+    state = {name: off for name, off, _ in TOGGLES}
+    changes = []
+    for at in sorted(offsets):
+        name, off, on = toggle if rng.random() < 0.6 else rng.choice(TOGGLES)
+        state[name] = on if state[name] == off else off
+        changes.append((at, {name: state[name]}))
+    return replace(scenario, context_changes=tuple(changes)), policy
+
+
+def _reference(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
+    """SessionMachine, plan and the draws run_simulation makes for a
+    single-shard run."""
+    machine, plan = _build_plan(scenario, catalog, policy)
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    index = {f.id: f for f in catalog}
+    return machine, plan, _sample_shard(child, trials, plan, scenario, index)
+
+
+def _machine_report(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
+    machine, plan, draws = _reference(scenario, policy, trials, seed, catalog)
+    return _combine([_machine_tally(plan, scenario, machine, *draws)], seed)
+
+
+def _machine_timing(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
+    # step every session through SessionMachine, keeping its last state
+    machine, plan, draws = _reference(scenario, policy, trials, seed, catalog)
+    finals = []
+    step = machine.step
+
+    def recording_step(state, event, ctx=None):
+        finals[-1] = step(state, event, ctx=ctx)
+        return finals[-1]
+
+    machine.initial_state = lambda: finals.append(None) or SessionState()
+    machine.step = recording_step
+    _machine_tally(plan, scenario, machine, *draws)
+    basics = [s.basic_granted_at for s in finals if s.basic_granted_at is not None]
+    fulls = [s.full_granted_at for s in finals if s.full_granted_at is not None]
+    active = statistics.median([t - plan.pre_end for t in fulls]) if fulls else None
+    budget = scenario.config.usability_budget
+    return GrantTiming(
+        trials=trials,
+        basic_grants=len(basics),
+        full_grants=len(fulls),
+        median_time_to_basic=statistics.median(basics) if basics else None,
+        median_time_to_full=statistics.median(fulls) if fulls else None,
+        median_active_phase=active,
+        usability_budget=budget,
+        over_budget=active is not None and active > budget,
+        degenerate=not fulls,
+    )
 
 
 def test_engines_agree_on_random_scenarios():
-    # the vectorized engine must reproduce the stepped machine bit for bit
+    # run_simulation must reproduce the stepped machine bit for bit over
+    # the same draws, context changes included
     rng = random.Random(424242)
-    for case in range(8):
+    changed, phases, switched_back = 0, set(), False
+    for case in range(16):
         scenario, policy = _random_case(rng)
         seed = rng.getrandbits(32)
-        vec = run_simulation(scenario, DEFAULT_CATALOG, policy, trials=2000, seed=seed, engine="vector")
-        mach = run_simulation(scenario, DEFAULT_CATALOG, policy, trials=2000, seed=seed, engine="machine")
-        assert vec == mach, f"case {case} diverged"
-        assert report_to_csv(vec) == report_to_csv(mach)
+        report = run_simulation(scenario, DEFAULT_CATALOG, policy, trials=2000, seed=seed)
+        reference = _machine_report(scenario, policy, 2000, seed)
+        assert report == reference, f"case {case} diverged"
+        assert report_to_csv(report) == report_to_csv(reference)
+        _, plan = _build_plan(scenario, DEFAULT_CATALOG, policy)
+        changes = scenario.context_changes
+        changed += bool(changes)
+        phases.update(_phase_of(plan, at) for at, _ in changes)
+        switched_back |= len(changes) == 2 and changes[0][1].keys() == changes[1][1].keys()
+    assert changed >= 8
+    assert phases == {"pre", "active", "monitoring"}
+    assert switched_back
+
+
+def test_time_to_grant_agrees_with_the_machine():
+    rng = random.Random(515151)
+    for case in range(16):
+        scenario, policy = _random_case(rng)
+        seed = rng.getrandbits(32)
+        timing = time_to_grant(scenario, DEFAULT_CATALOG, policy, trials=400, seed=seed)
+        assert timing == _machine_timing(scenario, policy, 400, seed), f"case {case} diverged"
+
+
+def test_context_changes_around_the_decision_agree_with_the_machine():
+    # darkness after facial's pre sample zeroes its weight, so Basic can
+    # be won in the first stretch only. Gloves then drop a fingerprint
+    # reader that also monitors from the expected set, so the decision
+    # lands at pin_code; they come off before the reader arrives, whose
+    # late failure revokes, and later blank out a stretch of checks.
+    fingerprint = replace(
+        BY_ID["fingerprint"], duration=BY_ID["password"].duration, phases=frozenset((ACT, MON))
+    )
+    catalog = [BY_ID["token"], BY_ID["facial"], BY_ID["ecg"], BY_ID["pin_code"], fingerprint]
+    ids = tuple(f.id for f in catalog)
+    scenario = Scenario(
+        adversary_fraction=0.3,
+        factors=ids,
+        monitor_factor="fingerprint",
+        context_changes=(
+            (10.0, {"darkness": True}),
+            (30.2, {"gloves_worn": True}),
+            (34.0, {"gloves_worn": False}),
+            (100.0, {"gloves_worn": True}),
+            (200.0, {"gloves_worn": False}),
+        ),
+        config=SessionConfig(
+            t_basic=1.9,
+            monitor=MonitorConfig(window=60.0, check_interval=30.0, false_alarm=0.2),
+            monitoring_horizon=300.0,
+        ),
+    )
+    weighted = Policy(Strategy.weighted(2.0), {fid: 1.0 for fid in ids})
+    for policy in (weighted, Policy(Strategy.all_checks()), Policy(Strategy.k_of_n(2))):
+        _, plan = _build_plan(scenario, catalog, policy)
+        assert plan.decision.at == 30.5 < plan.active_end == 38.0
+        assert plan.late == ((4, True),)
+        assert False in plan.check_scorable and len(plan.basic) == 2
+        report = run_simulation(scenario, catalog, policy, trials=3000, seed=8)
+        assert report == _machine_report(scenario, policy, 3000, 8, catalog)
+        assert report.revocation_latency_distribution.get(7.5, 0) > 0
+        timing = time_to_grant(scenario, catalog, policy, trials=500, seed=9)
+        assert timing == _machine_timing(scenario, policy, 500, 9, catalog)
+
+
+def test_shard_pool_is_clamped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # records the requested size and runs the shards inline
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(reliability, "ThreadPoolExecutor", RecordingPool)
+    sc = Scenario(factors=("token", "facial", "pin_code"))
+    run_simulation(sc, CATALOG3, W_POLICY, trials=3 * 65_536 + 1, seed=4, workers=10**9)
+    reliability.monte_carlo_rates(CATALOG3, W_POLICY, 65_537, seed=4, workers=10**9)
+    expected = [min(n, os.cpu_count() or 1) for n in (4, 2, 2)]
+    assert sizes == [n for n in expected if n > 1]
 
 
 def test_simulation_is_deterministic_across_workers():
@@ -612,7 +779,7 @@ def test_context_change_runs_on_the_machine_engine():
     )
     plain = Scenario(factors=("token", "facial", "pin_code"))
     a = run_simulation(noop, CATALOG3, W_POLICY, trials=3000, seed=5)
-    b = run_simulation(plain, CATALOG3, W_POLICY, trials=3000, seed=5, engine="machine")
+    b = run_simulation(plain, CATALOG3, W_POLICY, trials=3000, seed=5)
     assert a == b
 
 
@@ -628,7 +795,6 @@ def test_context_change_can_alter_outcomes():
         W_POLICY,
         trials=3000,
         seed=5,
-        engine="machine",
     )
     # facial still fires but is no longer scorable after the change, so
     # the grant rule effectively shifts while the prompts stay the same
