@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from . import __version__
+from . import __version__, configio
 from .catalog import DEFAULT_CATALOG, Factor, catalog_to_yaml, load_catalog
 from .errors import AuthFusionError
 from .fusion import StrategyKind, decide, load_evidence, load_policy
@@ -74,7 +74,7 @@ def _write_with_manifest(path: Path, content: str, manifest: RunManifest) -> Non
 def _load_catalog_arg(path: str | None) -> tuple[Factor, ...]:
     if path is None:
         return DEFAULT_CATALOG
-    return load_catalog(Path(path).read_text())
+    return load_catalog(configio.read_text(path))
 
 
 # -- catalog ----------------------------------------------------------------
@@ -157,8 +157,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     catalog = _load_catalog_arg(args.catalog)
-    policy = load_policy(Path(args.policy).read_text())
-    records = load_evidence(Path(args.evidence).read_text())
+    policy = load_policy(configio.read_text(args.policy))
+    records = load_evidence(configio.read_text(args.evidence))
     decision = decide(records, policy, catalog)
 
     print(f"decision: {'granted' if decision.granted else 'denied'}")
@@ -184,7 +184,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario)
-    scenario = load_scenario(scenario_path.read_text())
+    scenario = load_scenario(configio.read_text(scenario_path))
 
     def resolve(rel: str) -> Path:
         return scenario_path.parent / rel
@@ -198,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     if policy_path is None:
         raise AuthFusionError("no policy: pass --policy or set policy_path in the scenario")
-    policy = load_policy(Path(policy_path).read_text())
+    policy = load_policy(configio.read_text(policy_path))
 
     seed = args.seed
     if seed is None:

@@ -7,6 +7,7 @@ key and list item, so validation errors can point at the offending spot.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any
 
 import yaml
@@ -26,6 +27,14 @@ def dotted(path: tuple) -> str:
         else:
             out += ("." if out else "") + str(part)
     return out or "<document>"
+
+
+def read_text(path: str | Path) -> str:
+    """A config file's text; bytes that are not UTF-8 are a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def load_document(text: str, *, what: str = "document") -> tuple[Any, LineMap]:

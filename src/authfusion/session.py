@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
@@ -147,6 +149,9 @@ class SessionConfig:
             raise ConfigError("monitoring_horizon must be positive", field="session.monitoring_horizon")
         if not self.usability_budget > 0.0:
             raise ConfigError("usability_budget must be positive", field="session.usability_budget")
+        # past 2**53 checks, consecutive check times stop being distinct floats
+        if not self.horizon / self.monitor.check_interval + 1e-9 < 2**53 + 1:
+            raise ConfigError("more than 2**53 monitoring checks", field="session.monitoring_horizon")
 
     @property
     def horizon(self) -> float:
@@ -527,9 +532,10 @@ def load_scenario(source: str) -> Scenario:
         except ConfigError as exc:
             raise msec.error(None, str(exc)) from exc
 
-    config = SessionConfig(monitor=monitor)
     ssec = root.section("session")
-    if ssec is not None:
+    if ssec is None:
+        config = SessionConfig(monitor=monitor)
+    else:
         ssec.reject_unknown({"t_basic", "staleness_horizon", "monitoring_horizon", "usability_budget"})
         try:
             config = SessionConfig(
@@ -604,8 +610,6 @@ def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Pol
 # ---------------------------------------------------------------------------
 # Simulation plan: the per-session event layout and the context at each event
 
-_MAX_CHECKS = 10_000
-
 
 @dataclass(frozen=True)
 class _Firing:
@@ -633,7 +637,14 @@ class _Plan:
     stretch's last, and highest, one. The decision lands at the first
     scorable active arrival that completes the expected set, else at
     active_end; late holds (column, scorable) for active arrivals
-    dispatched after it."""
+    dispatched after it.
+
+    Monitoring runs n_checks checks of monitor_factor (none without
+    one), check c at check_time(c). scorable holds the half-open
+    [start, stop) runs of check indices at which the context in force
+    lets monitor_factor score; the others are recorded, never scored.
+    Nothing in the plan is held per check, so its size does not grow
+    with n_checks."""
 
     pre: tuple[_Firing, ...]
     active: tuple[_Firing, ...]
@@ -643,14 +654,16 @@ class _Plan:
     basic: tuple[_Score, ...]
     decision: _Score
     late: tuple[tuple[int, bool], ...]
-    check_times: tuple[float, ...]
-    check_scorable: tuple[bool, ...]
+    interval: float
+    n_checks: int
+    scorable: tuple[tuple[int, int], ...]
     monitor_factor: str | None
-    monitor_trust: float
     weighted: bool
     threshold: float  # a counting rule's k_eff - 1: grants take more passes
     t_basic: float
-    horizon_end: float
+
+    def check_time(self, c: int) -> float:
+        return self.active_end + (c + 1) * self.interval
 
 
 def _context_timeline(scenario: Scenario) -> list[tuple[float, ContextState]]:
@@ -670,7 +683,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     timeline = _context_timeline(scenario)
 
     def context_at(at: float) -> tuple[int, ContextState]:
-        # the walk _machine_tally makes: every change up to and including `at`
+        # the walk the stepped reference makes: every change up to and including `at`
         i = 0
         while i + 1 < len(timeline) and timeline[i + 1][0] <= at:
             i += 1
@@ -747,16 +760,8 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         )
     if monitor_factor is None:
         monitor_factor = next((f.id for f in chosen if f.id in mon_ids), None)
-    check_times: tuple[float, ...] = ()
-    if monitor_factor is not None:
-        interval = scenario.config.monitor.check_interval
-        n_checks = int(math.floor(scenario.config.horizon / interval + 1e-9))
-        if n_checks > _MAX_CHECKS:
-            raise ConfigError(
-                f"monitoring schedule has {n_checks} checks; cap is {_MAX_CHECKS}",
-                field="session.monitoring_horizon",
-            )
-        check_times = tuple(active_end + (c + 1) * interval for c in range(n_checks))
+    interval = scenario.config.monitor.check_interval
+    n_checks = int(math.floor(scenario.config.horizon / interval + 1e-9)) if monitor_factor else 0
 
     # passes a counting rule needs; with nothing expected, ALL denies
     kind = policy.strategy.kind
@@ -776,33 +781,76 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         basic=tuple(basic.values()),
         decision=score(decided_at, now, [present[fid] for fid in decided_on if fid in present]),
         late=tuple((len(pre) + j, monitorable(active[j].factor_id, active[j].at)) for j in late),
-        check_times=check_times,
-        check_scorable=tuple(monitorable(monitor_factor, t) for t in check_times),
+        interval=interval,
+        n_checks=n_checks,
+        scorable=(),
         monitor_factor=monitor_factor,
-        monitor_trust=scenario.trust.get(monitor_factor, 1.0) if monitor_factor else 1.0,
         weighted=weighted,
         threshold=policy.strategy.threshold if weighted else float(k_eff - 1),
         t_basic=machine.t_basic,
-        horizon_end=active_end + scenario.config.horizon,
     )
-    return machine, plan
+    # context stretch i covers the checks timed from its change up to the
+    # next one; the running max reproduces context_at's walk
+    starts = [bisect_left(range(n_checks), at, key=plan.check_time)
+              for at in accumulate((at for at, _ in timeline), max)]
+    scorable = tuple(
+        (lo, hi)
+        for lo, hi, (_, now) in zip(starts, starts[1:] + [n_checks], timeline)
+        if lo < hi and monitor_factor in machine._phase_ids(now, _MON)
+    )
+    return machine, replace(plan, scorable=scorable)
 
 
-def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario, index):
-    """Draw one shard's randomness in a fixed order: population, one
-    uniform per scheduled firing, one per monitoring check."""
-    rng = np.random.default_rng(child)
+def _sample_firings(rng: np.random.Generator, size: int, plan: _Plan, scenario: Scenario, index):
+    """A shard's first draws: population, then one uniform per firing."""
     adversary = rng.random(size) < scenario.adversary_fraction
     firings = plan.pre + plan.active
     u = rng.random((size, len(firings)))
     far = np.array([index[x.factor_id].far for x in firings])
     legit = np.array([1.0 - index[x.factor_id].frr for x in firings])
-    passes = u < np.where(adversary[:, None], far, legit)
-    u_checks = rng.random((size, len(plan.check_times)))
+    return adversary, u < np.where(adversary[:, None], far, legit)
+
+
+def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario, index):
+    """Draw one shard's randomness in a fixed order: population, one
+    uniform per scheduled firing, one per session for monitoring.
+
+    Scorable checks fail independently at the session's per-check rate
+    q, so the rank of the first failure among them is geometric, drawn
+    by inversion as floor(log1p(-u) / log1p(-q)) (Devroye, Non-Uniform
+    Random Variate Generation, 1986, X.2). first holds that failure's
+    check index, or n_checks when no scorable check fails."""
+    rng = np.random.default_rng(child)
+    adversary, passes = _sample_firings(rng, size, plan, scenario, index)
+    if not plan.scorable:
+        return adversary, passes, np.full(size, plan.n_checks, dtype=np.int64)
+
     monitor = scenario.config.monitor
-    q = np.where(adversary | scenario.takeover, monitor.per_check_detection, monitor.per_check_false_alarm)
-    fails = u_checks < q[:, None]
-    return adversary, passes, fails
+    impostor = adversary | scenario.takeover
+    q = np.where(impostor, monitor.per_check_detection, monitor.per_check_false_alarm)
+    log_keep = np.where(impostor, math.log1p(-monitor.per_check_detection),
+                        math.log1p(-monitor.per_check_false_alarm))
+    u = rng.random(size)
+    rank = np.divide(np.log1p(-u), log_keep, out=np.full(size, np.inf), where=q > 0.0)
+    # rank 0 exactly when u < q, the comparison a lone check makes; a
+    # session with q = 0 never fails
+    np.floor(rank, out=rank)
+    np.maximum(rank, 1.0, out=rank)
+    rank *= u >= q
+
+    # ranks from `at` on are `shift` checks behind their index, counting
+    # the unscorable checks before them; ranks past the last scorable
+    # check map to n_checks
+    steps, ranked = [], 0
+    for start, stop in plan.scorable + ((plan.n_checks, plan.n_checks),):
+        steps.append((ranked, start - ranked))
+        ranked += stop - start
+    first = np.minimum(rank, ranked, out=rank).astype(np.int64)
+    first += steps[0][1]
+    for (_, before), (at, shift) in zip(steps, steps[1:]):
+        if shift > before:
+            np.add(first, shift - before, out=first, where=rank >= at)
+    return adversary, passes, first
 
 
 @dataclass
@@ -860,7 +908,7 @@ def _first_basic(plan: _Plan, passes: np.ndarray, points: Sequence[_Score]) -> n
     return first
 
 
-def _vector_tally(plan: _Plan, adversary, passes, fails) -> _Tally:
+def _vector_tally(plan: _Plan, adversary, passes, first) -> _Tally:
     size = len(adversary)
     basic = _first_basic(plan, passes, plan.basic) < len(plan.basic)
     grant = _score(plan, passes, plan.decision) > plan.threshold
@@ -884,103 +932,34 @@ def _vector_tally(plan: _Plan, adversary, passes, fails) -> _Tally:
 
     # after the decision, in dispatch order: late active arrivals, then the
     # monitoring checks. A granted session stays live up to its first
-    # scorable failure, which revokes it.
-    checks = fails if all(plan.check_scorable) else fails & np.array(plan.check_scorable)
-    post = np.column_stack([~passes[:, col] & ok for col, ok in plan.late] + [checks]) if late else checks
-    if post.shape[1]:
-        first = post.argmax(axis=1)
-        revoked = grant & post.any(axis=1)
-        tally.revocations = int(revoked.sum())
-        tally.false_revocations = int((revoked & ~adversary).sum())
-        cut = np.bincount(first[revoked], minlength=post.shape[1])
-        live = tally.full_grants - (np.cumsum(cut) - cut)
-        times = [firings[col].at for col in late] + list(plan.check_times)
-        for e in np.flatnonzero(cut):
-            tally.latencies[times[e] - decided_at] += int(cut[e])
-        for col, n in zip(late, live):
-            if n:
-                tally.firings[(_ACT.value, firings[col].factor_id)] += int(n)
-        checked = int(live[len(late):].sum())
-        if checked:
-            tally.firings[(_MON.value, plan.monitor_factor)] += checked
-    return tally
-
-
-def _machine_tally(plan: _Plan, scenario: Scenario, machine: SessionMachine, adversary, passes, fails) -> _Tally:
-    timeline = _context_timeline(scenario)
-    n_pre = len(plan.pre)
-
-    # (time, kind, payload) template; instantiated with sampled outcomes per row
-    events: list[tuple[float, str, Any]] = []
-    for col, x in enumerate(plan.pre):
-        events.append((x.at, "evidence", (x, col, _PRE)))
-    events.append((plan.pre_end, "timeout", _PRE))
-    for col, x in enumerate(plan.active):
-        events.append((x.at, "evidence", (x, n_pre + col, _ACT)))
-    events.append((plan.active_end, "timeout", _ACT))
-    for c, t in enumerate(plan.check_times):
-        events.append((t, "check", c))
-    events.append((plan.horizon_end, "timeout", _MON))
-    # chronological dispatch; stable sort keeps arrivals ahead of the
-    # phase timeout they share a timestamp with
-    events.sort(key=lambda e: e[0])
-
-    tally = _Tally()
-    tally.sessions = len(adversary)
-    tally.adversaries = int(adversary.sum())
-    full_times: list[float] = []
-
-    for i in range(len(adversary)):
-        state = machine.initial_state()
-        ctx_idx = 0
-        for at, kind, payload in events:
-            while ctx_idx + 1 < len(timeline) and timeline[ctx_idx + 1][0] <= at:
-                ctx_idx += 1
-            ctx = timeline[ctx_idx][1]
-            if kind == "timeout":
-                event = PhaseTimeout(at=at, phase=payload)
-            elif kind == "evidence":
-                x, col, phase = payload
-                event = ArrivalOfEvidence(
-                    EvidenceRecord(
-                        factor_id=x.factor_id,
-                        decision=int(passes[i, col]),
-                        trust=x.trust,
-                        observed_at=at,
-                    )
-                )
-            else:
-                event = ArrivalOfEvidence(
-                    EvidenceRecord(
-                        factor_id=plan.monitor_factor,
-                        decision=0 if fails[i, payload] else 1,
-                        trust=plan.monitor_trust,
-                        observed_at=at,
-                    )
-                )
-            live = state.terminal is None
-            if live and kind == "evidence":
-                tally.firings[(payload[2].value, payload[0].factor_id)] += 1
-            elif live and kind == "check" and state.phase is _MON:
-                tally.firings[(_MON.value, plan.monitor_factor)] += 1
-            state = machine.step(state, event, ctx=ctx)
-
-        adv = bool(adversary[i])
-        if state.basic_granted_at is not None:
-            tally.basic_grants += 1
-        if state.full_granted_at is not None:
-            tally.full_grants += 1
-            full_times.append(state.full_granted_at)
-            if adv:
-                tally.false_grants += 1
-        elif not adv:
-            tally.false_denials += 1
-        if state.terminal is Terminal.REVOKED:
-            tally.revocations += 1
-            if not adv:
-                tally.false_revocations += 1
-            tally.latencies[state.revoked_at - state.monitor_started_at] += 1
-    tally.full_time_sum = math.fsum(full_times)
+    # scorable failure, which revokes it; pos numbers that event in this
+    # order, len(late) + n_checks meaning none.
+    pos = first + len(late)
+    for e in reversed(range(len(late))):
+        col, ok = plan.late[e]
+        if ok:
+            pos[~passes[:, col]] = e
+    revoked = grant & (pos < len(late) + plan.n_checks)
+    tally.revocations = int(revoked.sum())
+    tally.false_revocations = int((revoked & ~adversary).sum())
+    events, counts = np.unique(pos[revoked], return_counts=True)
+    cut = dict(zip(events.tolist(), counts.tolist()))
+    live = tally.full_grants
+    for e, col in enumerate(late):
+        if live:
+            tally.firings[(_ACT.value, firings[col].factor_id)] += live
+        live -= cut.get(e, 0)
+    # a session checks up to and including the check that revokes it
+    checked = (tally.full_grants - tally.revocations) * plan.n_checks
+    for e, n in cut.items():
+        c = e - len(late)
+        if c < 0:
+            tally.latencies[firings[late[e]].at - decided_at] += n
+        else:
+            tally.latencies[plan.check_time(c) - decided_at] += n
+            checked += n * (c + 1)
+    if checked:
+        tally.firings[(_MON.value, plan.monitor_factor)] += checked
     return tally
 
 
@@ -1072,15 +1051,14 @@ def _combine(tallies: Sequence[_Tally], seed: int) -> SimulationReport:
 
 
 def _planned(scenario: Scenario, catalog: Sequence[Factor], policy: Policy, trials: int):
-    """The validated plan and a per-shard sampler for it."""
+    """The validated plan and the catalog by factor id."""
     if trials < 1:
         raise ConfigError("trials must be at least 1", field="trials")
     problems = validate_scenario(scenario, catalog, policy)
     if problems:
         raise ConfigError("scenario invalid: " + "; ".join(problems))
     _, plan = _build_plan(scenario, catalog, policy)
-    index = {f.id: f for f in catalog}
-    return plan, lambda child, size: _sample_shard(child, size, plan, scenario, index)
+    return plan, {f.id: f for f in catalog}
 
 
 def run_simulation(
@@ -1094,9 +1072,9 @@ def run_simulation(
 ) -> SimulationReport:
     """Simulate `trials` sessions and aggregate. Deterministic for a given
     seed at any worker count."""
-    plan, sample = _planned(scenario, catalog, policy, trials)
+    plan, index = _planned(scenario, catalog, policy, trials)
     tallies = _run_shards(trials, np.random.SeedSequence(seed), workers,
-                          lambda child, size: _vector_tally(plan, *sample(child, size)))
+                          lambda child, size: _vector_tally(plan, *_sample_shard(child, size, plan, scenario, index)))
     return _combine(tallies, seed)
 
 
@@ -1130,11 +1108,13 @@ def time_to_grant(
     """Simulate trials and summarize grant timing. Full grants land at
     the plan's decision time; Basic at the first pre-authentication
     arrival whose score beats t_basic."""
-    plan, sample = _planned(scenario, catalog, policy, trials)
+    plan, index = _planned(scenario, catalog, policy, trials)
     arrival = np.array([x.at for x in plan.pre_scores])
 
     def run_shard(child: np.random.SeedSequence, size: int):
-        _, passes, _ = sample(child, size)
+        # the monitoring draw comes last in a shard, so skipping it leaves
+        # these the passes run_simulation samples
+        _, passes = _sample_firings(np.random.default_rng(child), size, plan, scenario, index)
         first = _first_basic(plan, passes, plan.pre_scores)
         granted = _score(plan, passes, plan.decision) > plan.threshold
         return arrival[first[first < len(arrival)]], int(granted.sum())

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -145,7 +147,12 @@ class TrustStore:
     Events are ("success" | "failure", source_id, timestamp) triples; the
     success count per source feeds the familiarity promotion. Backed by a
     JSONL file when given a path, otherwise in-memory. Single writer;
-    compact() folds history into a snapshot record and truncates the log.
+    compact() folds history into a snapshot record that replaces the log.
+
+    A crash can cut the final line short. Loading skips such a torn line
+    with a warning and rewrites the log without it; any other corrupt
+    line is a ConfigError with its line number. compact() swaps in a new
+    file, so a crash leaves the old log or the new one, never a truncated one.
     """
 
     _EVENTS = ("success", "failure")
@@ -154,19 +161,37 @@ class TrustStore:
         self._path = Path(path) if path is not None else None
         self._counts: dict[str, dict[str, int]] = {}
         if self._path is not None and self._path.exists():
-            self._replay(self._path.read_text(encoding="utf-8"))
+            self._replay(configio.read_text(self._path))
 
     def _replay(self, text: str) -> None:
-        for raw in text.splitlines():
+        lines = text.split("\n")
+        for number, raw in enumerate(lines, 1):
             if not raw.strip():
                 continue
-            entry = json.loads(raw)
-            if "snapshot" in entry:
-                self._counts = {
-                    sid: dict(counts) for sid, counts in entry["snapshot"].items()
-                }
-            else:
-                self._tally(entry["source_id"], entry["event"])
+            try:
+                entry = json.loads(raw)
+                if "snapshot" in entry:
+                    self._counts = {sid: dict(counts) for sid, counts in entry["snapshot"].items()}
+                elif entry["event"] in self._EVENTS:
+                    self._tally(entry["source_id"], entry["event"])
+                else:
+                    raise ValueError(f"unknown event {entry['event']!r}")
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                if number < len(lines) or not isinstance(exc, json.JSONDecodeError):
+                    raise ConfigError(f"corrupt trust log entry: {exc}", field=str(self._path), line=number) from exc
+                warnings.warn(f"{self._path}: skipped torn final line {number}", stacklevel=3)
+                lines[-1] = ""
+        # a last line without its newline would swallow the next append
+        if text and not text.endswith("\n"):
+            self._rewrite("".join(line + "\n" for line in lines if line.strip()))
+
+    def _rewrite(self, text: str) -> None:
+        tmp = self._path.with_name(self._path.name + ".tmp")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self._path)
 
     def _tally(self, source_id: str, event: str) -> None:
         per_source = self._counts.setdefault(source_id, {})
@@ -191,8 +216,7 @@ class TrustStore:
         """Fold the event log into one snapshot line."""
         if self._path is None:
             return
-        snapshot = json.dumps({"snapshot": self._counts}, sort_keys=True)
-        self._path.write_text(snapshot + "\n", encoding="utf-8")
+        self._rewrite(json.dumps({"snapshot": self._counts}, sort_keys=True) + "\n")
 
     def assignment(
         self,

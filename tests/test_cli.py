@@ -99,6 +99,17 @@ def test_catalog_missing_file_is_an_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfeschema_version: 1\n")
+    assert main(["catalog", "validate", "--catalog", str(bad)]) == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err
+    evidence = write(tmp_path, "evidence.yaml", EVIDENCE)
+    assert main(["decide", "--policy", str(bad), "--evidence", evidence]) == EXIT_CONFIG
+    assert main(["simulate", "--scenario", str(bad), "--trials", "10"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("not UTF-8") == 2
+
+
 def test_sweep_defaults(capsys):
     assert main(["sweep"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -280,3 +291,30 @@ def test_simulate_resolves_paths_relative_to_the_scenario(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "sessions: 200" in capsys.readouterr().out
+
+
+def monitored(tmp_path, interval, horizon, *extra):
+    scenario = write(
+        tmp_path,
+        "monitored.yaml",
+        SCENARIO
+        + f"takeover: true\nmonitor:\n  check_interval: {interval}\n"
+        + f"session:\n  monitoring_horizon: {horizon}\n",
+    )
+    policy = write(tmp_path, "policy.yaml", WEIGHTED_POLICY)
+    return main(["simulate", "--scenario", scenario, "--policy", policy, "--seed", "3", *extra])
+
+
+def test_simulate_check_count_overflow_is_a_config_error(tmp_path, capsys):
+    # an infinite horizon/interval ratio, and a finite one past 2**53 checks
+    for interval, horizon in (("1.0e-300", "1.0e+308"), ("1.0", "1.0e+17")):
+        assert monitored(tmp_path, interval, horizon, "--trials", "10") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "session.monitoring_horizon" in err and "2**53" in err and "line" in err
+
+
+def test_simulate_runs_a_million_check_schedule(tmp_path, capsys):
+    assert monitored(tmp_path, "1.0", "1.0e+6", "--trials", "2000", "--format", "csv") == EXIT_OK
+    rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[2:])
+    assert int(rows["revocations"]) == int(rows["full_grants"]) > 0
+    assert int(rows["firings[continuous_monitoring][token]"]) > 0

@@ -4,6 +4,8 @@ import math
 import os
 import random
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,6 @@ from authfusion.session import (
     Tick,
     _build_plan,
     _combine,
-    _machine_tally,
     _sample_shard,
     load_scenario,
     report_summary,
@@ -38,6 +39,7 @@ from authfusion.session import (
     time_to_grant,
     validate_scenario,
 )
+from session_reference import check_times, machine_tally
 
 PRE = SessionPhase.PRE_AUTHENTICATION
 ACT = SessionPhase.ACTIVE_AUTHENTICATION
@@ -391,6 +393,12 @@ def test_session_config_validation_and_horizon():
         SessionConfig(monitoring_horizon=0.0)
     with pytest.raises(ConfigError):
         SessionConfig(usability_budget=0.0)
+    # 2**53 checks is the most whose times stay distinct floats
+    per_second = MonitorConfig(check_interval=1.0)
+    assert SessionConfig(monitor=per_second, monitoring_horizon=2.0**53).horizon == 2.0**53
+    for horizon in (2.0**53 + 2.0, math.inf):
+        with pytest.raises(ConfigError, match="2\\*\\*53"):
+            SessionConfig(monitor=per_second, monitoring_horizon=horizon)
 
 
 SCENARIO_YAML = """\
@@ -602,9 +610,9 @@ def _random_case(rng):
     # event's exact time; flipping one condition twice switches its
     # factors off and back on
     _, plan = _build_plan(scenario, DEFAULT_CATALOG, policy)
-    events = [x.at for x in plan.pre + plan.active] + list(plan.check_times)
+    events = [x.at for x in plan.pre + plan.active] + check_times(plan)
     bounds = {"pre": (0.0, plan.pre_end), "active": (plan.pre_end, plan.active_end),
-              "monitoring": (plan.active_end, plan.horizon_end)}
+              "monitoring": (plan.active_end, plan.active_end + scenario.config.horizon)}
     offsets = []
     for _ in range(rng.randint(0, 2)):
         lo, hi = bounds[rng.choice([p for p, (lo, hi) in bounds.items() if hi > lo])]
@@ -631,7 +639,7 @@ def _reference(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
 
 def _machine_report(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
     machine, plan, draws = _reference(scenario, policy, trials, seed, catalog)
-    return _combine([_machine_tally(plan, scenario, machine, *draws)], seed)
+    return _combine([machine_tally(plan, scenario, machine, *draws)], seed)
 
 
 def _machine_timing(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
@@ -646,7 +654,7 @@ def _machine_timing(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
 
     machine.initial_state = lambda: finals.append(None) or SessionState()
     machine.step = recording_step
-    _machine_tally(plan, scenario, machine, *draws)
+    machine_tally(plan, scenario, machine, *draws)
     basics = [s.basic_granted_at for s in finals if s.basic_granted_at is not None]
     fulls = [s.full_granted_at for s in finals if s.full_granted_at is not None]
     active = statistics.median([t - plan.pre_end for t in fulls]) if fulls else None
@@ -728,7 +736,7 @@ def test_context_changes_around_the_decision_agree_with_the_machine():
         _, plan = _build_plan(scenario, catalog, policy)
         assert plan.decision.at == 30.5 < plan.active_end == 38.0
         assert plan.late == ((4, True),)
-        assert False in plan.check_scorable and len(plan.basic) == 2
+        assert plan.scorable == ((0, 2), (5, 10)) and len(plan.basic) == 2
         report = run_simulation(scenario, catalog, policy, trials=3000, seed=8)
         assert report == _machine_report(scenario, policy, 3000, 8, catalog)
         assert report.revocation_latency_distribution.get(7.5, 0) > 0
@@ -812,6 +820,91 @@ def test_takeover_revocation_rate_matches_detection_accuracy():
     assert abs(fraction - 0.95) < 0.01
     assert report.false_revocations == report.revocations  # no adversaries here
     assert set(report.revocation_latency_distribution) == {150.0}
+
+
+def _six_sigma(n, p):
+    """Binomial(n, p) count bracket; refused when it would admit zero."""
+    mean, half = n * p, 6.0 * math.sqrt(n * p * (1.0 - p))
+    if mean - half <= 0.0:
+        raise ValueError(f"bracket {mean:.1f} +- {half:.1f} admits zero events")
+    return mean - half, mean + half
+
+
+def test_first_failure_histogram_follows_the_scorable_checks():
+    # 240 checks a second after the decision at t=1; gloves blank the
+    # fingerprint checks timed in [100.5, 150.5), indices 99-148. A check
+    # fails at rate q, so revocation at a scorable check with s scorable
+    # checks before it has probability q(1-q)^s, and blanked ones none.
+    fingerprint = replace(BY_ID["fingerprint"], phases=frozenset((MON,)))
+    catalog = [BY_ID["token"], BY_ID["pin_code"], fingerprint]
+    q = 0.002
+    scenario = Scenario(
+        takeover=True,
+        factors=("token", "pin_code"),
+        monitor_factor="fingerprint",
+        context_changes=((100.5, {"gloves_worn": True}), (150.5, {"gloves_worn": False})),
+        config=SessionConfig(
+            monitor=MonitorConfig(window=1.0, detection_accuracy=q),
+            monitoring_horizon=240.0,
+        ),
+    )
+    policy = Policy(Strategy.any_check())
+    _, plan = _build_plan(scenario, catalog, policy)
+    assert (plan.n_checks, plan.scorable) == (240, ((0, 99), (149, 240)))
+    report = run_simulation(scenario, catalog, policy, trials=1 << 17, seed=31)
+    bins = report.revocation_latency_distribution
+    assert set(bins) <= {float(c + 1) for c in range(240)}
+    scorable = [c for start, stop in plan.scorable for c in range(start, stop)]
+    for c in range(240):
+        if c in range(99, 149):
+            assert bins.get(float(c + 1), 0) == 0, f"blanked check {c} revoked"
+        else:
+            lo, hi = _six_sigma(report.full_grants, q * (1.0 - q) ** scorable.index(c))
+            assert lo <= bins.get(float(c + 1), 0) <= hi, f"check {c}"
+    with pytest.raises(ValueError, match="admits zero"):
+        _six_sigma(report.full_grants, 1e-5)
+
+
+def test_zero_false_alarm_never_revokes():
+    sc = Scenario(
+        factors=("token", "facial", "pin_code"),
+        config=SessionConfig(
+            monitor=MonitorConfig(check_interval=10.0, false_alarm=0.0), monitoring_horizon=600.0
+        ),
+    )
+    with np.errstate(all="raise"):
+        report = run_simulation(sc, CATALOG3, W_POLICY, trials=70_000, seed=12)
+    assert report.full_grants > 0
+    assert report.revocations == report.false_revocations == 0
+    assert report.factor_firings["continuous_monitoring"]["token"] == 60 * report.full_grants
+
+
+def test_million_check_schedule_runs_in_bounded_memory():
+    # the sessions x checks draw this replaced needed ~0.5 TB per shard here
+    code = (
+        "import resource\n"
+        "from authfusion.catalog import DEFAULT_CATALOG\n"
+        "from authfusion.fusion import Policy, Strategy\n"
+        "from authfusion.session import MonitorConfig, Scenario, SessionConfig, run_simulation\n"
+        "by_id = {f.id: f for f in DEFAULT_CATALOG}\n"
+        "catalog = [by_id['token'], by_id['facial'], by_id['pin_code']]\n"
+        "policy = Policy(Strategy.weighted(2.5), {'token': 1.0, 'facial': 1.0, 'pin_code': 1.0})\n"
+        "config = SessionConfig(monitor=MonitorConfig(check_interval=1.0), monitoring_horizon=1.0e6)\n"
+        "for takeover in (True, False):\n"
+        "    sc = Scenario(takeover=takeover, factors=('token', 'facial', 'pin_code'), config=config)\n"
+        "    report = run_simulation(sc, catalog, policy, trials=1 << 17, seed=3)\n"
+        "    print(report.revocations, report.full_grants)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(reliability.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300, check=True).stdout.split()
+    takeover, legit = (int(out[0]), int(out[1])), (int(out[2]), int(out[3]))
+    # impostors are all caught; legitimate users meet a false alarm within
+    # 10^6 checks at 1 - 0.99^(1/150) each almost surely
+    assert takeover[0] == takeover[1] > 0 and legit[0] == legit[1] > 0
+    assert int(out[4]) < 300 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_report_consistency_is_enforced():

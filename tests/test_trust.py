@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from authfusion import trust
 from authfusion.catalog import DEFAULT_CATALOG, default_catalog
 from authfusion.context import ContextState
 from authfusion.errors import ConfigError, NoUsableFactorsError
@@ -136,6 +137,64 @@ def test_store_compact_preserves_counts(tmp_path):
     # appends after a compact land on top of the snapshot
     reopened.record("watch-3", "success", timestamp=100.0)
     assert TrustStore(path).successes("watch-3") == 13
+
+
+def test_store_skips_a_torn_final_line(tmp_path):
+    path = tmp_path / "trust.jsonl"
+    store = TrustStore(path)
+    for i in range(3):
+        store.record("ring-1", "success", timestamp=float(i))
+    intact = path.read_text()
+    path.write_text(intact + '{"event": "succ')
+    with pytest.warns(UserWarning, match="torn final line 4"):
+        reopened = TrustStore(path)
+    assert reopened.successes("ring-1") == 3
+    assert path.read_text() == intact
+    reopened.record("ring-1", "success", timestamp=9.0)
+    assert TrustStore(path).successes("ring-1") == 4
+
+
+def test_store_keeps_a_final_record_that_lost_its_newline(tmp_path):
+    path = tmp_path / "trust.jsonl"
+    path.write_text('{"event": "success", "source_id": "ring-1", "timestamp": 1.0}')
+    store = TrustStore(path)
+    assert store.successes("ring-1") == 1
+    store.record("ring-1", "success", timestamp=2.0)
+    assert TrustStore(path).successes("ring-1") == 2
+
+
+def test_store_corrupt_line_is_a_config_error(tmp_path):
+    path = tmp_path / "trust.jsonl"
+    good = '{"event": "success", "source_id": "ring-1", "timestamp": 1.0}\n'
+    for bad in ('{"event": "succ\n', '{"source_id": "ring-1"}\n', '{"event": "lost", "source_id": "x"}\n', "[1]\n"):
+        path.write_text(good + bad + good)
+        with pytest.raises(ConfigError) as err:
+            TrustStore(path)
+        assert err.value.line == 2
+    path.write_bytes(b"\xff\xfe" + good.encode())
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        TrustStore(path)
+
+
+def test_store_compact_swaps_in_a_new_file(tmp_path, monkeypatch):
+    path = tmp_path / "trust.jsonl"
+    store = TrustStore(path)
+    for i in range(5):
+        store.record("watch-3", "success", timestamp=float(i))
+    log = path.read_text()
+
+    def crash(src, dst):
+        raise OSError("crashed before the swap")
+
+    monkeypatch.setattr(trust.os, "replace", crash)
+    with pytest.raises(OSError):
+        store.compact()
+    assert path.read_text() == log
+    monkeypatch.undo()
+    store.compact()
+    assert len(path.read_text().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trust.jsonl"]
+    assert TrustStore(path).successes("watch-3") == 5
 
 
 def test_store_without_existing_file(tmp_path):
