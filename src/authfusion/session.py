@@ -149,13 +149,19 @@ class SessionConfig:
             raise ConfigError("monitoring_horizon must be positive", field="session.monitoring_horizon")
         if not self.usability_budget > 0.0:
             raise ConfigError("usability_budget must be positive", field="session.usability_budget")
-        # past 2**53 checks, consecutive check times stop being distinct floats
-        if not self.horizon / self.monitor.check_interval + 1e-9 < 2**53 + 1:
-            raise ConfigError("more than 2**53 monitoring checks", field="session.monitoring_horizon")
 
     @property
     def horizon(self) -> float:
         return self.monitoring_horizon if self.monitoring_horizon is not None else self.monitor.window
+
+    @property
+    def n_checks(self) -> int:
+        """Monitoring checks per session: one each check_interval up to the horizon."""
+        n = self.horizon / self.monitor.check_interval + 1e-9
+        # past 2**53 checks, consecutive check times stop being distinct floats
+        if not n < 2**53 + 1:
+            raise ConfigError("more than 2**53 monitoring checks", field="session.monitoring_horizon")
+        return math.floor(n)
 
 
 @dataclass(frozen=True)
@@ -256,31 +262,22 @@ class SessionMachine:
         return self._policy.with_weights(weights)
 
     def _resolve_thresholds(self) -> None:
-        cfg = self._config
+        kind = self._policy.strategy.kind
         if self._weighted:
             full = self._policy.strategy.threshold
-            basic = cfg.t_basic if cfg.t_basic is not None else full / 2.0
-            if full > 0.0 and basic >= full:
-                raise ConfigError(
-                    f"t_basic={basic} must stay below the full threshold {full}",
-                    field="session.t_basic",
-                )
+            bound = f"the full threshold {full}"
         else:
-            n_expected = len(self.expected_factors(self._ctx))
-            kind = self._policy.strategy.kind
             if kind is StrategyKind.ALL:
-                k_eff = n_expected
+                k_eff = len(self.expected_factors(self._ctx))
             elif kind is StrategyKind.ANY:
                 k_eff = 1
             else:
                 k_eff = self._policy.strategy.k
             full = float(k_eff)
-            basic = cfg.t_basic if cfg.t_basic is not None else k_eff / 2.0
-            if full > 0.0 and basic >= full:
-                raise ConfigError(
-                    f"t_basic={basic} must stay below the effective pass count {k_eff}",
-                    field="session.t_basic",
-                )
+            bound = f"the effective pass count {k_eff}"
+        basic = self._config.t_basic if self._config.t_basic is not None else full / 2.0
+        if full > 0.0 and basic >= full:
+            raise ConfigError(f"t_basic={basic} must stay below {bound}", field="session.t_basic")
         self.t_basic = basic
         self.t_full = full
 
@@ -532,10 +529,9 @@ def load_scenario(source: str) -> Scenario:
         except ConfigError as exc:
             raise msec.error(None, str(exc)) from exc
 
+    config = SessionConfig(monitor=monitor)
     ssec = root.section("session")
-    if ssec is None:
-        config = SessionConfig(monitor=monitor)
-    else:
+    if ssec is not None:
         ssec.reject_unknown({"t_basic", "staleness_horizon", "monitoring_horizon", "usability_budget"})
         try:
             config = SessionConfig(
@@ -760,8 +756,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         )
     if monitor_factor is None:
         monitor_factor = next((f.id for f in chosen if f.id in mon_ids), None)
-    interval = scenario.config.monitor.check_interval
-    n_checks = int(math.floor(scenario.config.horizon / interval + 1e-9)) if monitor_factor else 0
+    n_checks = scenario.config.n_checks if monitor_factor else 0
 
     # passes a counting rule needs; with nothing expected, ALL denies
     kind = policy.strategy.kind
@@ -781,7 +776,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         basic=tuple(basic.values()),
         decision=score(decided_at, now, [present[fid] for fid in decided_on if fid in present]),
         late=tuple((len(pre) + j, monitorable(active[j].factor_id, active[j].at)) for j in late),
-        interval=interval,
+        interval=scenario.config.monitor.check_interval,
         n_checks=n_checks,
         scorable=(),
         monitor_factor=monitor_factor,
@@ -801,16 +796,6 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     return machine, replace(plan, scorable=scorable)
 
 
-def _sample_firings(rng: np.random.Generator, size: int, plan: _Plan, scenario: Scenario, index):
-    """A shard's first draws: population, then one uniform per firing."""
-    adversary = rng.random(size) < scenario.adversary_fraction
-    firings = plan.pre + plan.active
-    u = rng.random((size, len(firings)))
-    far = np.array([index[x.factor_id].far for x in firings])
-    legit = np.array([1.0 - index[x.factor_id].frr for x in firings])
-    return adversary, u < np.where(adversary[:, None], far, legit)
-
-
 def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario, index):
     """Draw one shard's randomness in a fixed order: population, one
     uniform per scheduled firing, one per session for monitoring.
@@ -821,15 +806,21 @@ def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenari
     Random Variate Generation, 1986, X.2). first holds that failure's
     check index, or n_checks when no scorable check fails."""
     rng = np.random.default_rng(child)
-    adversary, passes = _sample_firings(rng, size, plan, scenario, index)
+    adversary = rng.random(size) < scenario.adversary_fraction
+    firings = plan.pre + plan.active
+    u = rng.random((size, len(firings)))
+    far = np.array([index[x.factor_id].far for x in firings])
+    legit = np.array([1.0 - index[x.factor_id].frr for x in firings])
+    passes = u < np.where(adversary[:, None], far, legit)
     if not plan.scorable:
         return adversary, passes, np.full(size, plan.n_checks, dtype=np.int64)
 
     monitor = scenario.config.monitor
     impostor = adversary | scenario.takeover
-    q = np.where(impostor, monitor.per_check_detection, monitor.per_check_false_alarm)
-    log_keep = np.where(impostor, math.log1p(-monitor.per_check_detection),
-                        math.log1p(-monitor.per_check_false_alarm))
+    rates = (monitor.per_check_detection, monitor.per_check_false_alarm)
+    q = np.where(impostor, *rates)
+    # q = 1 takes no log: u < q gives it rank 0 below
+    log_keep = np.where(impostor, *(math.log1p(-p) if p < 1.0 else -math.inf for p in rates))
     u = rng.random(size)
     rank = np.divide(np.log1p(-u), log_keep, out=np.full(size, np.inf), where=q > 0.0)
     # rank 0 exactly when u < q, the comparison a lone check makes; a
@@ -838,18 +829,15 @@ def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenari
     np.maximum(rank, 1.0, out=rank)
     rank *= u >= q
 
-    # ranks from `at` on are `shift` checks behind their index, counting
-    # the unscorable checks before them; ranks past the last scorable
-    # check map to n_checks
-    steps, ranked = [], 0
-    for start, stop in plan.scorable + ((plan.n_checks, plan.n_checks),):
-        steps.append((ranked, start - ranked))
+    # a rank counts scorable checks only: past the end of a stretch it also
+    # skips the unscorable checks before the next one, and past the last
+    # scorable check it means none
+    rank = np.minimum(rank, float(plan.n_checks)).astype(np.int64)
+    first, ranked = rank + plan.scorable[0][0], 0
+    for (start, stop), (after, _) in zip(plan.scorable, plan.scorable[1:]):
         ranked += stop - start
-    first = np.minimum(rank, ranked, out=rank).astype(np.int64)
-    first += steps[0][1]
-    for (_, before), (at, shift) in zip(steps, steps[1:]):
-        if shift > before:
-            np.add(first, shift - before, out=first, where=rank >= at)
+        first += (after - stop) * (rank >= ranked)
+    first[first >= plan.scorable[-1][1]] = plan.n_checks
     return adversary, passes, first
 
 
@@ -1112,9 +1100,7 @@ def time_to_grant(
     arrival = np.array([x.at for x in plan.pre_scores])
 
     def run_shard(child: np.random.SeedSequence, size: int):
-        # the monitoring draw comes last in a shard, so skipping it leaves
-        # these the passes run_simulation samples
-        _, passes = _sample_firings(np.random.default_rng(child), size, plan, scenario, index)
+        _, passes, _ = _sample_shard(child, size, plan, scenario, index)
         first = _first_basic(plan, passes, plan.pre_scores)
         granted = _score(plan, passes, plan.decision) > plan.threshold
         return arrival[first[first < len(arrival)]], int(granted.sum())

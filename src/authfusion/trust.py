@@ -150,9 +150,10 @@ class TrustStore:
     compact() folds history into a snapshot record that replaces the log.
 
     A crash can cut the final line short. Loading skips such a torn line
-    with a warning and rewrites the log without it; any other corrupt
-    line is a ConfigError with its line number. compact() swaps in a new
-    file, so a crash leaves the old log or the new one, never a truncated one.
+    with a warning, and the next record() rewrites the log without it;
+    loading itself never writes. Any other corrupt line is a ConfigError
+    with its line number. compact() and that repair swap in a new file,
+    so a crash leaves the old log or the new one, never a truncated one.
     """
 
     _EVENTS = ("success", "failure")
@@ -160,6 +161,7 @@ class TrustStore:
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
         self._counts: dict[str, dict[str, int]] = {}
+        self._mend: str | None = None  # the log's intact text, when its tail needs mending
         if self._path is not None and self._path.exists():
             self._replay(configio.read_text(self._path))
 
@@ -183,7 +185,7 @@ class TrustStore:
                 lines[-1] = ""
         # a last line without its newline would swallow the next append
         if text and not text.endswith("\n"):
-            self._rewrite("".join(line + "\n" for line in lines if line.strip()))
+            self._mend = "".join(line + "\n" for line in lines if line.strip())
 
     def _rewrite(self, text: str) -> None:
         tmp = self._path.with_name(self._path.name + ".tmp")
@@ -192,6 +194,7 @@ class TrustStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._path)
+        self._mend = None
 
     def _tally(self, source_id: str, event: str) -> None:
         per_source = self._counts.setdefault(source_id, {})
@@ -201,11 +204,12 @@ class TrustStore:
         if event not in self._EVENTS:
             raise ConfigError(f"event must be one of {self._EVENTS}, got '{event}'", field="event")
         self._tally(source_id, event)
-        if self._path is not None:
-            line = json.dumps(
-                {"source_id": source_id, "event": event, "timestamp": timestamp},
-                sort_keys=True,
-            )
+        if self._path is None:
+            return
+        line = json.dumps({"source_id": source_id, "event": event, "timestamp": timestamp}, sort_keys=True)
+        if self._mend is not None:
+            self._rewrite(self._mend + line + "\n")
+        else:
             with self._path.open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 

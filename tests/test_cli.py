@@ -310,7 +310,7 @@ def test_simulate_check_count_overflow_is_a_config_error(tmp_path, capsys):
     for interval, horizon in (("1.0e-300", "1.0e+308"), ("1.0", "1.0e+17")):
         assert monitored(tmp_path, interval, horizon, "--trials", "10") == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "session.monitoring_horizon" in err and "2**53" in err and "line" in err
+        assert "session.monitoring_horizon" in err and "2**53" in err
 
 
 def test_simulate_runs_a_million_check_schedule(tmp_path, capsys):

@@ -395,10 +395,11 @@ def test_session_config_validation_and_horizon():
         SessionConfig(usability_budget=0.0)
     # 2**53 checks is the most whose times stay distinct floats
     per_second = MonitorConfig(check_interval=1.0)
-    assert SessionConfig(monitor=per_second, monitoring_horizon=2.0**53).horizon == 2.0**53
+    assert SessionConfig(monitor=per_second, monitoring_horizon=2.0**53).n_checks == 2**53
     for horizon in (2.0**53 + 2.0, math.inf):
+        config = SessionConfig(monitor=per_second, monitoring_horizon=horizon)
         with pytest.raises(ConfigError, match="2\\*\\*53"):
-            SessionConfig(monitor=per_second, monitoring_horizon=horizon)
+            config.n_checks
 
 
 SCENARIO_YAML = """\
@@ -832,9 +833,10 @@ def _six_sigma(n, p):
 
 def test_first_failure_histogram_follows_the_scorable_checks():
     # 240 checks a second after the decision at t=1; gloves blank the
-    # fingerprint checks timed in [100.5, 150.5), indices 99-148. A check
-    # fails at rate q, so revocation at a scorable check with s scorable
-    # checks before it has probability q(1-q)^s, and blanked ones none.
+    # fingerprint checks timed in [100.5, 150.5), indices 99-148, and from
+    # 230.5 on, indices 229-239. A check fails at rate q, so revocation at
+    # a scorable check with s scorable checks before it has probability
+    # q(1-q)^s, and blanked ones none.
     fingerprint = replace(BY_ID["fingerprint"], phases=frozenset((MON,)))
     catalog = [BY_ID["token"], BY_ID["pin_code"], fingerprint]
     q = 0.002
@@ -842,7 +844,9 @@ def test_first_failure_histogram_follows_the_scorable_checks():
         takeover=True,
         factors=("token", "pin_code"),
         monitor_factor="fingerprint",
-        context_changes=((100.5, {"gloves_worn": True}), (150.5, {"gloves_worn": False})),
+        context_changes=(
+            (100.5, {"gloves_worn": True}), (150.5, {"gloves_worn": False}), (230.5, {"gloves_worn": True})
+        ),
         config=SessionConfig(
             monitor=MonitorConfig(window=1.0, detection_accuracy=q),
             monitoring_horizon=240.0,
@@ -850,19 +854,38 @@ def test_first_failure_histogram_follows_the_scorable_checks():
     )
     policy = Policy(Strategy.any_check())
     _, plan = _build_plan(scenario, catalog, policy)
-    assert (plan.n_checks, plan.scorable) == (240, ((0, 99), (149, 240)))
+    assert (plan.n_checks, plan.scorable) == (240, ((0, 99), (149, 229)))
     report = run_simulation(scenario, catalog, policy, trials=1 << 17, seed=31)
     bins = report.revocation_latency_distribution
     assert set(bins) <= {float(c + 1) for c in range(240)}
     scorable = [c for start, stop in plan.scorable for c in range(start, stop)]
     for c in range(240):
-        if c in range(99, 149):
+        if c not in scorable:
             assert bins.get(float(c + 1), 0) == 0, f"blanked check {c} revoked"
         else:
             lo, hi = _six_sigma(report.full_grants, q * (1.0 - q) ** scorable.index(c))
             assert lo <= bins.get(float(c + 1), 0) <= hi, f"check {c}"
     with pytest.raises(ValueError, match="admits zero"):
         _six_sigma(report.full_grants, 1e-5)
+
+
+def test_certain_detection_revokes_at_the_first_scorable_check():
+    # 1 - 0.05 ** (150 / 10) rounds to a per-check rate of exactly 1, so
+    # every takeover falls at the first check gloves leave scorable
+    fingerprint = replace(BY_ID["fingerprint"], phases=frozenset((MON,)))
+    catalog = [BY_ID["token"], BY_ID["pin_code"], fingerprint]
+    scenario = Scenario(
+        takeover=True,
+        factors=("token", "pin_code"),
+        monitor_factor="fingerprint",
+        context_changes=((100.0, {"gloves_worn": True}), (200.0, {"gloves_worn": False})),
+        config=SessionConfig(monitor=MonitorConfig(window=10.0, check_interval=150.0), monitoring_horizon=600.0),
+    )
+    assert scenario.config.monitor.per_check_detection == 1.0
+    with np.errstate(all="raise"):
+        report = run_simulation(scenario, catalog, Policy(Strategy.any_check()), trials=5000, seed=4)
+    assert report.revocations == report.full_grants > 0
+    assert report.revocation_latency_distribution == {300.0: report.full_grants}
 
 
 def test_zero_false_alarm_never_revokes():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -149,9 +150,30 @@ def test_store_skips_a_torn_final_line(tmp_path):
     with pytest.warns(UserWarning, match="torn final line 4"):
         reopened = TrustStore(path)
     assert reopened.successes("ring-1") == 3
-    assert path.read_text() == intact
+    assert path.read_text() == intact + '{"event": "succ'
     reopened.record("ring-1", "success", timestamp=9.0)
+    assert path.read_text().startswith(intact) and path.read_text().count("\n") == 4
     assert TrustStore(path).successes("ring-1") == 4
+
+
+def test_store_loads_a_read_only_log(tmp_path):
+    # loading never writes, even when the tail needs mending
+    logs = {
+        "torn.jsonl": '{"event": "success", "source_id": "ring-1", "timestamp": 1.0}\n{"event": "succ',
+        "unended.jsonl": '{"event": "success", "source_id": "ring-1", "timestamp": 1.0}',
+    }
+    for name, text in logs.items():
+        (tmp_path / name).write_text(text)
+        (tmp_path / name).chmod(0o444)
+    tmp_path.chmod(0o555)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stores = [TrustStore(tmp_path / name) for name in logs]
+        assert [s.successes("ring-1") for s in stores] == [1, 1]
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == logs
+    finally:
+        tmp_path.chmod(0o755)
 
 
 def test_store_keeps_a_final_record_that_lost_its_newline(tmp_path):
