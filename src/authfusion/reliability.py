@@ -2,8 +2,9 @@
 
 All composition assumes independent factors. Counting strategies reduce
 to tails of a Poisson-binomial pass-count distribution, computed by exact
-dynamic programming; the weighted-threshold rule is evaluated by exact
-enumeration over outcome vectors (meet-in-the-middle, capped at n=25).
+dynamic programming that a sweep extends from n to n+1 factors (O(N^2) over
+1..N); the weighted-threshold rule is evaluated by exact enumeration over
+outcome vectors (meet-in-the-middle, capped at n=25).
 A seeded Monte Carlo estimator serves as an independent cross-check for
 every strategy. Probabilities stay in linear space with compensated
 summation, and pass/fail probabilities are taken from the source rates
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,18 +86,17 @@ class PassCountDistribution:
         return math.fsum(self.probs[:k])
 
 
-def _pass_counts(pq: Sequence[tuple[float, float]]) -> list[float]:
-    # DP over explicit (pass, fail) pairs: callers supply both probabilities
-    # straight from the source data instead of re-deriving one as 1 - x,
-    # which keeps degenerate cases (single factor, exact rates) bit-exact
+def _pass_counts(pq: Iterable[tuple[float, float]]) -> Iterator[list[float]]:
+    # the distribution after 0, 1, 2, ... factors, one Bernoulli convolution
+    # per step (Hong, CSDA 59, 2013). Callers supply both of each (pass, fail)
+    # pair from the source data, not 1 - x, which keeps degenerate cases
+    # bit-exact; adding 0.0 turns a -0.0 rate into 0.0, so no mass is -0.0
     probs = [1.0]
+    yield probs
     for p, q in pq:
-        nxt = [0.0] * (len(probs) + 1)
-        for j, mass in enumerate(probs):
-            nxt[j] += mass * q
-            nxt[j + 1] += mass * p
-        probs = nxt
-    return probs
+        p, q = p + 0.0, q + 0.0
+        probs = [probs[0] * q, *[m * q + prev * p for prev, m in zip(probs, probs[1:])], probs[-1] * p]
+        yield probs
 
 
 def pass_count_distribution(pass_probs: Sequence[float], population: Population) -> PassCountDistribution:
@@ -105,7 +107,7 @@ def pass_count_distribution(pass_probs: Sequence[float], population: Population)
     for p in pass_probs:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"pass probability {p!r} outside [0, 1]")
-    probs = _pass_counts([(p, 1.0 - p) for p in pass_probs])
+    probs = deque(_pass_counts([(p, 1.0 - p) for p in pass_probs]), maxlen=1)[0]
     return PassCountDistribution(probs=tuple(probs), population=population)
 
 
@@ -169,6 +171,19 @@ def compose_kofn(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates
     equivalences hold exactly, not merely to tolerance.
     """
     _validate_pairs(pairs)
+    if (rates := _kofn_boundary(pairs, k)) is not None:
+        return rates
+    # fail probabilities come from the source data, not from 1 - pass
+    adversary = deque(_pass_counts([(far, 1.0 - far) for far, _ in pairs]), maxlen=1)[0]
+    legitimate = deque(_pass_counts([(1.0 - frr, frr) for _, frr in pairs]), maxlen=1)[0]
+    can_pass = sum(1 for f, _ in pairs if f > 0.0)
+    must_pass = sum(1 for _, f in pairs if f == 0.0)
+    return _kofn_tails(adversary, legitimate, k, can_pass, must_pass)
+
+
+def _kofn_boundary(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates | None:
+    # the k check, and k = n / k = 1 routed to compose_all / compose_any so
+    # the boundary equivalences hold exactly; None when 1 < k < n
     n = len(pairs)
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
         raise ConfigError(f"k must be an integer in [1, {n}]", field="k")
@@ -176,18 +191,14 @@ def compose_kofn(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates
         return compose_all(pairs)
     if k == 1:
         return compose_any(pairs)
+    return None
 
-    # fail probabilities come from the source data, not from 1 - pass
-    adversary = _pass_counts([(far, 1.0 - far) for far, _ in pairs])
-    legitimate = _pass_counts([(1.0 - frr, frr) for _, frr in pairs])
-    far = math.fsum(adversary[k:])
-    frr = math.fsum(legitimate[:k])
-    # positivity: >= k can pass iff at least k factors have positive pass
-    # probability; < k can happen iff fewer than k factors pass for certain
-    far_possible = sum(1 for f, _ in pairs if f > 0.0) >= k
-    frr_possible = sum(1 for _, f in pairs if f == 0.0) < k
-    far, far_uf = _floored(far, far_possible)
-    frr, frr_uf = _floored(frr, frr_possible)
+
+def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, can_pass: int, must_pass: int) -> CompositeRates:
+    # positivity: >= k can pass iff at least k factors can pass; < k can
+    # happen iff fewer than k factors must pass
+    far, far_uf = _floored(math.fsum(adversary[k:]), can_pass >= k)
+    frr, frr_uf = _floored(math.fsum(legitimate[:k]), must_pass < k)
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
@@ -466,6 +477,12 @@ def sweep(
     if ns[0] < 1:
         raise ConfigError("n must be at least 1", field="n_range")
 
+    # one running pass-count DP per population, extended to each n with a
+    # balanced 1 < k < n row: its state after n factors is exactly what
+    # compose_kofn builds for n, so the sweep takes O(N^2) steps, not O(N^3)
+    dists = zip(_pass_counts(repeat((far, 1.0 - far))), _pass_counts(repeat((1.0 - frr, frr))))
+    adversary, legitimate = next(dists)
+    folded = 0  # factors folded into the running DP
     rows = []
     for n in ns:
         pairs = [(far, frr)] * n
@@ -482,7 +499,13 @@ def sweep(
                 k_eff = k_rule(n)
                 if not 1 <= k_eff <= n:
                     raise ConfigError(f"k rule produced {k_eff}, outside [1, {n}]", field="k")
-                rates = compose_kofn(pairs, k_eff)
+                rates = _kofn_boundary(pairs, k_eff)
+                if rates is None:
+                    while folded < n:
+                        adversary, legitimate = next(dists)
+                        folded += 1
+                    rates = _kofn_tails(adversary, legitimate, k_eff,
+                                        n if far > 0.0 else 0, n if frr == 0.0 else 0)
                 log_far = _log10_rate(rates.far)
                 log_frr = _log10_rate(rates.frr)
             rows.append(

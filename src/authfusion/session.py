@@ -28,7 +28,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -463,6 +463,22 @@ class Scenario:
         return ContextState(conditions=dict(self.conditions))
 
 
+def _change_time_problems(times: Iterable[float]) -> Iterator[tuple[int, str]]:
+    """(index, message) for each time that breaks the rule "finite, >= 0 and
+    non-decreasing". The plan applies changes in list order, so a time that
+    breaks it would hold back every change listed after it."""
+    latest = 0.0
+    for i, at in enumerate(times):
+        if not math.isfinite(at):
+            yield i, f"context change at t={at} is not a finite time"
+        elif at < 0.0:
+            yield i, f"context change at t={at} precedes the session start"
+        elif at < latest:
+            yield i, f"context change at t={at} comes before the change at t={latest}; change times must be non-decreasing"
+        else:
+            latest = at
+
+
 def load_scenario(source: str) -> Scenario:
     """Parse a scenario file (YAML text); errors carry field paths and lines."""
     data, lines = configio.load_document(source, what="scenario")
@@ -503,15 +519,14 @@ def load_scenario(source: str) -> Scenario:
         isec = csec.section("initial")
         if isec is not None:
             conditions = dict(isec.data)
-        for entry in csec.items("changes") if "changes" in csec.data else []:
+        entries = csec.items("changes") if "changes" in csec.data else []
+        for entry in entries:
             entry.reject_unknown({"at", "set"})
             at = float(entry.require("at", float))
-            if at < 0.0:
-                raise entry.error("at", "must be non-negative")
             setsec = entry.section("set", required=True)
             changes.append((at, dict(setsec.data)))
-        if any(b[0] < a[0] for a, b in zip(changes, changes[1:])):
-            raise csec.error("changes", "change times must be non-decreasing")
+        for i, message in _change_time_problems(at for at, _ in changes):
+            raise entries[i].error("at", message)  # the first problem, at its line
 
     monitor = MonitorConfig()
     msec = root.section("monitor")
@@ -593,9 +608,7 @@ def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Pol
         for fid in scenario.factors or ():
             if fid in ids and fid not in policy.weights:
                 problems.append(f"policy assigns no weight to scenario factor '{fid}'")
-    for at, _ in scenario.context_changes:
-        if at < 0.0:
-            problems.append(f"context change at t={at} precedes the session start")
+    problems.extend(message for _, message in _change_time_problems(at for at, _ in scenario.context_changes))
     try:
         SessionMachine(catalog, policy, ctx=scenario.initial_context(), config=scenario.config)
     except AuthFusionError as exc:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import authfusion.reliability as reliability
 from authfusion.catalog import DEFAULT_CATALOG
 from authfusion.errors import CapacityError, ConfigError, EvaluationError
 from authfusion.fusion import Policy, Strategy
@@ -393,3 +394,83 @@ def test_majority_rule():
 def test_sweep_rejects_unknown_strategy():
     with pytest.raises(ConfigError):
         sweep(0.0003, 0.02, range(1, 3), ("all", "most"))
+
+
+def _fresh_row(far, frr, n, strategy, k_rule):
+    # each n composed from scratch by the public calls, rebuilding the DP
+    pairs = [(far, frr)] * n
+    log10 = reliability._log10_rate
+    if strategy == "all":
+        rates = compose_all(pairs)
+        return n, rates, log10(rates.far, [far] * n), log10(rates.frr)
+    if strategy == "any":
+        rates = compose_any(pairs)
+        return 1, rates, log10(rates.far), log10(rates.frr, [frr] * n)
+    k = k_rule(n)
+    rates = compose_kofn(pairs, k)
+    return k, rates, log10(rates.far), log10(rates.frr)
+
+
+@pytest.mark.parametrize(
+    "far, frr, ns, k_rule",
+    [
+        (0.0003, 0.02, range(1, 121), majority_k),
+        (0.0003, 0.02, [100, 5, 7], majority_k),
+        (0.15, 0.10, range(1, 61), lambda n: max(1, n // 3)),
+        (0.0, 0.02, range(1, 41), majority_k),
+        (0.0003, 0.0, range(1, 41), majority_k),
+        (1.0, 1.0, range(1, 41), majority_k),
+        (0.0, 1.0, [3, 40, 9], lambda n: max(1, n // 3)),
+        (1e-30, 1e-30, range(1, 61), majority_k),
+    ],
+)
+def test_sweep_rows_equal_fresh_per_n_calls(far, frr, ns, k_rule):
+    rows = sweep(far, frr, ns, k_rule=k_rule)
+    assert [(r.n, r.strategy) for r in rows] == [
+        (n, s) for n in sorted(ns) for s in ("all", "any", "balanced")
+    ]
+    for row in rows:
+        k, rates, log_far, log_frr = _fresh_row(far, frr, row.n, row.strategy, k_rule)
+        assert (row.k, row.far, row.frr, row.log10_far, row.log10_frr) == (
+            k, rates.far, rates.frr, log_far, log_frr
+        ), (row.n, row.strategy)
+
+
+def test_sweep_k_rule_errors_are_unchanged():
+    # an in-range non-int k fails compose_kofn's integer check
+    with pytest.raises(ConfigError) as err:
+        sweep(0.0003, 0.02, range(3, 6), k_rule=lambda n: 2.0)
+    with pytest.raises(ConfigError) as fresh:
+        compose_kofn([(0.0003, 0.02)] * 3, 2.0)
+    assert str(err.value) == str(fresh.value) == "k: k must be an integer in [1, 3]"
+    # an out-of-range k fails the sweep's own range check first
+    with pytest.raises(ConfigError) as err:
+        sweep(0.0003, 0.02, range(1, 6), k_rule=lambda n: n + 1)
+    assert str(err.value) == "k: k rule produced 2, outside [1, 1]"
+
+
+def test_sweep_extends_one_pass_count_dp_per_population(monkeypatch):
+    steps = 0
+    dp = reliability._pass_counts
+
+    def counted(pq):
+        def pairs():
+            nonlocal steps
+            for pair in pq:
+                steps += 1
+                yield pair
+
+        return dp(pairs())
+
+    monkeypatch.setattr(reliability, "_pass_counts", counted)
+    for ns, top in ((range(1, 81), 80), ([100, 5, 7], 100)):
+        steps = 0
+        sweep(0.0003, 0.02, ns)
+        assert steps == 2 * top
+    # sweeps without a balanced 1 < k < n row take no DP step
+    steps = 0
+    sweep(0.0003, 0.02, range(1, 81), ("all", "any"))
+    sweep(0.0003, 0.02, range(1, 81), k_rule=lambda n: n)
+    assert steps == 0
+    compose_kofn(SEVEN, 4)
+    assert steps == 14

@@ -519,6 +519,52 @@ def test_validate_scenario_reports_every_problem():
     assert "precedes the session start" in text
 
 
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (".nan", "context change at t=nan is not a finite time"),
+        (".inf", "context change at t=inf is not a finite time"),
+        ("-1.0", "context change at t=-1.0 precedes the session start"),
+        ("3.0", "context change at t=3.0 comes before the change at t=9.0; "
+                "change times must be non-decreasing"),
+    ],
+)
+def test_load_scenario_rejects_bad_change_times_at_their_line(at, message):
+    text = (
+        "schema_version: 1\n"
+        "context:\n"
+        "  changes:\n"
+        "    - {at: 9.0, set: {darkness: true}}\n"
+        f"    - {{at: {at}, set: {{darkness: false}}}}\n"
+        "    - {at: 12.0, set: {gloves_worn: true}}\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.line == 5
+    assert err.value.field == "context.changes[1].at"
+    assert message in str(err.value)
+
+
+def test_validate_scenario_rejects_bad_change_times():
+    # built in code, so no loader saw the times; the plan applies changes
+    # in list order, so each of these would hold back the change after it
+    base = Scenario(factors=("token", "facial", "pin_code"))
+    for changes, message in (
+        (((10.0, {"noise_level": "high"}), (5.0, {"darkness": True})),
+         "context change at t=5.0 comes before the change at t=10.0"),
+        (((math.nan, {"noise_level": "high"}), (5.0, {"darkness": True})),
+         "context change at t=nan is not a finite time"),
+        (((math.inf, {"noise_level": "high"}),), "context change at t=inf is not a finite time"),
+    ):
+        scenario = replace(base, context_changes=changes)
+        problems = validate_scenario(scenario, DEFAULT_CATALOG, W_POLICY)
+        assert len(problems) == 1 and problems[0].startswith(message), problems
+        with pytest.raises(ConfigError, match="scenario invalid"):
+            run_simulation(scenario, DEFAULT_CATALOG, W_POLICY, 10, seed=5)
+    ordered = replace(base, context_changes=((5.0, {"darkness": True}), (5.0, {"noise_level": "high"})))
+    assert validate_scenario(ordered, DEFAULT_CATALOG, W_POLICY) == []
+
+
 def test_validate_scenario_checks_the_machine_builds():
     sc = Scenario(config=SessionConfig(t_basic=2.5))
     problems = validate_scenario(sc, CATALOG3, W_POLICY)
