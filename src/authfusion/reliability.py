@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -86,17 +84,20 @@ class PassCountDistribution:
         return math.fsum(self.probs[:k])
 
 
-def _pass_counts(pq: Iterable[tuple[float, float]]) -> Iterator[list[float]]:
-    # the distribution after 0, 1, 2, ... factors, one Bernoulli convolution
-    # per step (Hong, CSDA 59, 2013). Callers supply both of each (pass, fail)
-    # pair from the source data, not 1 - x, which keeps degenerate cases
-    # bit-exact; adding 0.0 turns a -0.0 rate into 0.0, so no mass is -0.0
+def _pass_step(probs: list[float], p: float, q: float) -> list[float]:
+    # the pass-count distribution after one more factor, one Bernoulli
+    # convolution (Hong, CSDA 59, 2013). Callers supply both the pass and the
+    # fail probability from the source data, not 1 - x, which keeps degenerate
+    # cases bit-exact; adding 0.0 turns a -0.0 rate into 0.0, so no mass is -0.0
+    p, q = p + 0.0, q + 0.0
+    return [probs[0] * q, *[m * q + prev * p for prev, m in zip(probs, probs[1:])], probs[-1] * p]
+
+
+def _pass_counts(pq: Sequence[tuple[float, float]]) -> list[float]:
     probs = [1.0]
-    yield probs
     for p, q in pq:
-        p, q = p + 0.0, q + 0.0
-        probs = [probs[0] * q, *[m * q + prev * p for prev, m in zip(probs, probs[1:])], probs[-1] * p]
-        yield probs
+        probs = _pass_step(probs, p, q)
+    return probs
 
 
 def pass_count_distribution(pass_probs: Sequence[float], population: Population) -> PassCountDistribution:
@@ -107,7 +108,7 @@ def pass_count_distribution(pass_probs: Sequence[float], population: Population)
     for p in pass_probs:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"pass probability {p!r} outside [0, 1]")
-    probs = deque(_pass_counts([(p, 1.0 - p) for p in pass_probs]), maxlen=1)[0]
+    probs = _pass_counts([(p, 1.0 - p) for p in pass_probs])
     return PassCountDistribution(probs=tuple(probs), population=population)
 
 
@@ -174,11 +175,9 @@ def compose_kofn(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates
     if (rates := _kofn_boundary(pairs, k)) is not None:
         return rates
     # fail probabilities come from the source data, not from 1 - pass
-    adversary = deque(_pass_counts([(far, 1.0 - far) for far, _ in pairs]), maxlen=1)[0]
-    legitimate = deque(_pass_counts([(1.0 - frr, frr) for _, frr in pairs]), maxlen=1)[0]
-    can_pass = sum(1 for f, _ in pairs if f > 0.0)
-    must_pass = sum(1 for _, f in pairs if f == 0.0)
-    return _kofn_tails(adversary, legitimate, k, can_pass, must_pass)
+    adversary = _pass_counts([(far, 1.0 - far) for far, _ in pairs])
+    legitimate = _pass_counts([(1.0 - frr, frr) for _, frr in pairs])
+    return _kofn_tails(adversary, legitimate, k, pairs)
 
 
 def _kofn_boundary(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates | None:
@@ -194,11 +193,13 @@ def _kofn_boundary(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRat
     return None
 
 
-def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, can_pass: int, must_pass: int) -> CompositeRates:
-    # positivity: >= k can pass iff at least k factors can pass; < k can
-    # happen iff fewer than k factors must pass
-    far, far_uf = _floored(math.fsum(adversary[k:]), can_pass >= k)
-    frr, frr_uf = _floored(math.fsum(legitimate[:k]), must_pass < k)
+def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, pairs: Sequence[tuple[float, float]]) -> CompositeRates:
+    # positivity: >= k can pass iff at least k factors have positive pass
+    # probability; < k can happen iff fewer than k factors pass for certain
+    far_possible = sum(1 for f, _ in pairs if f > 0.0) >= k
+    frr_possible = sum(1 for _, f in pairs if f == 0.0) < k
+    far, far_uf = _floored(math.fsum(adversary[k:]), far_possible)
+    frr, frr_uf = _floored(math.fsum(legitimate[:k]), frr_possible)
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
@@ -480,9 +481,7 @@ def sweep(
     # one running pass-count DP per population, extended to each n with a
     # balanced 1 < k < n row: its state after n factors is exactly what
     # compose_kofn builds for n, so the sweep takes O(N^2) steps, not O(N^3)
-    dists = zip(_pass_counts(repeat((far, 1.0 - far))), _pass_counts(repeat((1.0 - frr, frr))))
-    adversary, legitimate = next(dists)
-    folded = 0  # factors folded into the running DP
+    adversary, legitimate = [1.0], [1.0]
     rows = []
     for n in ns:
         pairs = [(far, frr)] * n
@@ -501,11 +500,10 @@ def sweep(
                     raise ConfigError(f"k rule produced {k_eff}, outside [1, {n}]", field="k")
                 rates = _kofn_boundary(pairs, k_eff)
                 if rates is None:
-                    while folded < n:
-                        adversary, legitimate = next(dists)
-                        folded += 1
-                    rates = _kofn_tails(adversary, legitimate, k_eff,
-                                        n if far > 0.0 else 0, n if frr == 0.0 else 0)
+                    while len(adversary) <= n:
+                        adversary = _pass_step(adversary, far, 1.0 - far)
+                        legitimate = _pass_step(legitimate, 1.0 - frr, frr)
+                    rates = _kofn_tails(adversary, legitimate, k_eff, pairs)
                 log_far = _log10_rate(rates.far)
                 log_frr = _log10_rate(rates.frr)
             rows.append(

@@ -265,6 +265,10 @@ def test_underflow_reported_as_zero_with_flag():
     assert rates.far == 0.0
     assert rates.far_underflow
     assert not rates.frr_underflow
+    kofn = compose_kofn([(1e-200, 0.02)] * 4, 2)
+    assert (kofn.far, kofn.far_underflow, kofn.frr_underflow) == (0.0, True, False)
+    kofn = compose_kofn([(0.02, 1e-200)] * 4, 3)
+    assert (kofn.frr, kofn.frr_underflow, kofn.far_underflow) == (0.0, True, False)
 
 
 def test_exact_zero_is_not_flagged_as_underflow():
@@ -274,6 +278,12 @@ def test_exact_zero_is_not_flagged_as_underflow():
     anyr = compose_any([(0.1, 0.0)] * 3)
     assert anyr.frr == 0.0
     assert not anyr.frr_underflow
+    # only three factors can pass, so >= 4 passes is impossible
+    kofn = compose_kofn([(0.0, 0.1)] * 2 + [(0.1, 0.1)] * 3, 4)
+    assert (kofn.far, kofn.far_underflow) == (0.0, False)
+    # three factors pass for certain, so < 3 passes is impossible
+    kofn = compose_kofn([(0.1, 0.0)] * 3 + [(0.1, 0.1)] * 2, 3)
+    assert (kofn.frr, kofn.frr_underflow) == (0.0, False)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -451,18 +461,14 @@ def test_sweep_k_rule_errors_are_unchanged():
 
 def test_sweep_extends_one_pass_count_dp_per_population(monkeypatch):
     steps = 0
-    dp = reliability._pass_counts
+    step = reliability._pass_step
 
-    def counted(pq):
-        def pairs():
-            nonlocal steps
-            for pair in pq:
-                steps += 1
-                yield pair
+    def counted(probs, p, q):
+        nonlocal steps
+        steps += 1
+        return step(probs, p, q)
 
-        return dp(pairs())
-
-    monkeypatch.setattr(reliability, "_pass_counts", counted)
+    monkeypatch.setattr(reliability, "_pass_step", counted)
     for ns, top in ((range(1, 81), 80), ([100, 5, 7], 100)):
         steps = 0
         sweep(0.0003, 0.02, ns)

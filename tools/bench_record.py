@@ -1,12 +1,11 @@
 """Record one benchmark snapshot as BENCH_<label>.json.
 
 Runs `bench/run.py` once per workload that BENCHMARK.json declares, one
-after another, and writes the environment (python and numpy versions, core
-count) and each workload's correct/attempted/failed counts and end-to-end
-metrics. Run it from the repository root:
+after another, at a fixed seed and duration so that snapshots compare, and
+writes the environment (python and numpy versions, core count) and each
+workload's correct/attempted/failed counts and end-to-end metrics:
 
     python3 tools/bench_record.py 7                 # writes BENCH_7.json
-    python3 tools/bench_record.py 7 --seconds 5     # a shorter snapshot
 """
 
 from __future__ import annotations
@@ -21,13 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 9001
+SECONDS = 20.0
 
-def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def run_workload(workload: str) -> dict:
     """The JSON object on the last stdout line of one untraced run."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds)],
-        cwd=root, capture_output=True, text=True,
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", repr(SECONDS)],
+        cwd=ROOT, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -35,12 +38,12 @@ def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def record(root: Path, seed: int, seconds: float) -> dict:
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+def record() -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
     workloads = {}
     for w in spec["workloads"]:
-        result = run_workload(root, w["name"], seed, seconds)
+        result = run_workload(w["name"])
         workloads[w["name"]] = {
             "correct": result["correct"],
             "attempted": result["attempted"],
@@ -48,8 +51,8 @@ def record(root: Path, seed: int, seconds: float) -> dict:
             "metrics": {name: result["metrics"][name] for name in names},
         }
     return {
-        "seed": seed,
-        "seconds": seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -62,13 +65,9 @@ def record(root: Path, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", help="written as BENCH_<label>.json in the repository root")
-    parser.add_argument("--seed", type=int, default=9001)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
-    root = Path.cwd()
-    snapshot = record(root, args.seed, args.seconds)
-    out = root / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record(), indent=2) + "\n")
     print(out)
     return 0
 
