@@ -4,7 +4,8 @@ All composition assumes independent factors. Counting strategies reduce
 to tails of a Poisson-binomial pass-count distribution, computed by exact
 dynamic programming that a sweep extends from n to n+1 factors (O(N^2) over
 1..N); the weighted-threshold rule is evaluated by exact enumeration over
-outcome vectors (meet-in-the-middle, capped at n=25).
+outcome vectors (meet-in-the-middle, capped at n=25), with each half
+enumerated once and shared by both populations.
 A seeded Monte Carlo estimator serves as an independent cross-check for
 every strategy. Probabilities stay in linear space with compensated
 summation, and pass/fail probabilities are taken from the source rates
@@ -124,12 +125,13 @@ def _validate_pairs(pairs: Sequence[tuple[float, float]]) -> None:
 
 def _floored(value: float, possible: bool) -> tuple[float, bool]:
     # report tiny-but-positive results as 0 with the underflow flag; the
-    # flag also covers values the float math already collapsed to 0
-    if 0.0 < value < UNDERFLOW_FLOOR:
+    # flag also covers values the float math already collapsed to 0. Every
+    # zero comes back as +0.0, so a -0.0 rate never renders as "-0"
+    if value <= 0.0:
+        return 0.0, value == 0.0 and possible
+    if value < UNDERFLOW_FLOOR:
         return 0.0, True
-    if value == 0.0 and possible:
-        return 0.0, True
-    return min(max(value, 0.0), 1.0), False
+    return min(value, 1.0), False
 
 
 def compose_all(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
@@ -209,44 +211,41 @@ def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, pairs: 
 EXACT_WEIGHTED_LIMIT = 25
 
 
-def _subset_scores(weights: Sequence[float], pq: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    # all 2^m outcomes of one half: score reached and its probability mass
+def _half_outcomes(weights: Sequence[float], pairs: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    # all 2^m outcomes of one half: the score reached, and its probability
+    # mass under the adversary (row 0) and the legitimate user (row 1)
     scores = np.zeros(1)
-    mass = np.ones(1)
-    for w, (p, q) in zip(weights, pq):
+    mass = np.ones((2, 1))
+    for w, (far, frr) in zip(weights, pairs):
         scores = np.concatenate([scores, scores + w])
-        mass = np.concatenate([mass * q, mass * p])
+        mass = np.concatenate([mass * [[1.0 - far], [frr]], mass * [[far], [1.0 - frr]]], axis=1)
     return scores, mass
 
 
-def _split_tail_probs(weights: Sequence[float], pq: Sequence[tuple[float, float]], threshold: float) -> tuple[float, float, bool, bool]:
-    """P(score > T) and P(score <= T), each accumulated directly.
+def _weighted_tails(weights: Sequence[float], pairs: Sequence[tuple[float, float]], threshold: float) -> CompositeRates:
+    """Adversary P(score > T) and legitimate P(score <= T), each summed
+    directly.
 
-    Meet-in-the-middle: enumerate both halves, sort one, and resolve each
-    left outcome against the right half's prefix/suffix mass. Also reports
-    whether each event has any positive-probability outcome at all, so
-    callers can distinguish a true zero from underflow.
+    Meet-in-the-middle: enumerate each half once for both populations, sort
+    the right half, and resolve each left outcome against the right half's
+    adversary suffix and legitimate prefix mass. Each event also records
+    whether it has any positive-probability outcome at all, so a true zero
+    is told apart from underflow.
     """
     half = (len(weights) + 1) // 2
-    a_scores, a_mass = _subset_scores(weights[:half], pq[:half])
-    b_scores, b_mass = _subset_scores(weights[half:], pq[half:])
+    a_scores, a_mass = _half_outcomes(weights[:half], pairs[:half])
+    b_scores, b_mass = _half_outcomes(weights[half:], pairs[half:])
     order = np.argsort(b_scores, kind="stable")
-    b_scores = b_scores[order]
-    b_mass = b_mass[order]
-
-    prefix = np.concatenate([[0.0], np.cumsum(b_mass)])
-    suffix = np.concatenate([np.cumsum(b_mass[::-1])[::-1], [0.0]])
-    b_positive = b_mass > 0.0
-    prefix_any = np.concatenate([[False], np.logical_or.accumulate(b_positive)])
-    suffix_any = np.concatenate([np.logical_or.accumulate(b_positive[::-1])[::-1], [False]])
-
-    idx = np.searchsorted(b_scores, threshold - a_scores, side="right")
-    above = math.fsum(float(a_mass[i]) * float(suffix[idx[i]]) for i in range(len(a_scores)))
-    below = math.fsum(float(a_mass[i]) * float(prefix[idx[i]]) for i in range(len(a_scores)))
-    a_positive = a_mass > 0.0
-    above_possible = bool(np.any(a_positive & suffix_any[idx]))
-    below_possible = bool(np.any(a_positive & prefix_any[idx]))
-    return above, below, above_possible, below_possible
+    b_adv, b_leg = b_mass[0, order], b_mass[1, order]
+    idx = np.searchsorted(b_scores[order], threshold - a_scores, side="right")
+    # per left outcome: right-half mass above T - a and at most T - a
+    above = np.concatenate([np.cumsum(b_adv[::-1])[::-1], [0.0]])[idx]
+    below = np.concatenate([[0.0], np.cumsum(b_leg)])[idx]
+    # a running sum of non-negative masses is positive iff one of them is, so
+    # an event is possible iff some left outcome and its tail both have mass
+    far, far_uf = _floored(math.fsum((a_mass[0] * above).tolist()), bool(np.any((a_mass[0] > 0.0) & (above > 0.0))))
+    frr, frr_uf = _floored(math.fsum((a_mass[1] * below).tolist()), bool(np.any((a_mass[1] > 0.0) & (below > 0.0))))
+    return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
 def compose_weighted(
@@ -291,11 +290,7 @@ def compose_weighted(
             "Use mode='monte-carlo' for larger systems."
         )
 
-    far, _, far_possible, _ = _split_tail_probs(weights, [(far, 1.0 - far) for far, _ in pairs], threshold)
-    _, frr, _, frr_possible = _split_tail_probs(weights, [(1.0 - frr, frr) for _, frr in pairs], threshold)
-    far, far_uf = _floored(far, far_possible)
-    frr, frr_uf = _floored(frr, frr_possible)
-    return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
+    return _weighted_tails(weights, pairs, threshold)
 
 
 # ---------------------------------------------------------------------------

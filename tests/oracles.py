@@ -8,6 +8,8 @@ library under test.
 import math
 from itertools import product
 
+import numpy as np
+
 
 def enum_rates(pairs, grant):
     """Exact (far, frr) for an arbitrary grant rule over outcome vectors.
@@ -33,6 +35,21 @@ def kofn_grant(k):
 def weighted_grant(weights, threshold):
     # strict comparison, same tie behavior the decision function promises
     return lambda passes: math.fsum(w for w, p in zip(weights, passes) if p) > threshold
+
+
+def weighted_rates_numpy(pairs, weights, threshold):
+    """Exact (far, frr) of the weighted rule score > T, with all 2^n outcome
+    rows enumerated at once as a numpy matrix. The score is a float matrix
+    product, so thresholds must not tie under rounding: use weights whose
+    sums are exact, such as dyadic ones."""
+    n = len(pairs)
+    passes = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    far = np.array([f for f, _ in pairs])
+    frr = np.array([f for _, f in pairs])
+    p_adv = np.where(passes, far, 1.0 - far).prod(axis=1)
+    p_leg = np.where(passes, 1.0 - frr, frr).prod(axis=1)
+    grant = passes @ np.array(weights, dtype=float) > threshold
+    return math.fsum(p_adv[grant].tolist()), math.fsum(p_leg[~grant].tolist())
 
 
 def pass_count_pmf(probs):

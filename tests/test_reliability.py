@@ -23,7 +23,7 @@ from authfusion.reliability import (
     sweep_to_csv,
 )
 
-from oracles import enum_rates, kofn_grant, pass_count_pmf, weighted_grant
+from oracles import enum_rates, kofn_grant, pass_count_pmf, weighted_grant, weighted_rates_numpy
 
 # the reference operating point: seven factors at FAR 0.03%, FRR 2%
 SEVEN = [(0.0003, 0.02)] * 7
@@ -195,6 +195,45 @@ def test_weighted_matches_enumeration_oracle():
         assert math.isclose(rates.frr, oracle_frr, rel_tol=1e-9, abs_tol=1e-300)
 
 
+# dyadic weights sum exactly, so no threshold below ties under rounding
+DYADIC = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 15, 16])
+@pytest.mark.parametrize("zeros", ["none", "some", "all"])
+def test_weighted_half_split_matches_numpy_enumeration(n, zeros):
+    rng = random.Random(f"split:{n}:{zeros}")
+    pairs = [(rng.choice([0.0, 1.0, rng.random()]), rng.choice([0.0, 1.0, rng.random()])) for _ in range(n)]
+    weights = [rng.choice(DYADIC[1:]) for _ in range(n)]
+    if zeros == "some":
+        weights = [w if rng.random() < 0.5 else 0.0 for w in weights]
+    elif zeros == "all":
+        weights = [0.0] * n
+    total = sum(weights)
+    tie = sum(w for w in weights if rng.random() < 0.5)
+    for threshold in (0.0, -0.75, total, tie, total / 2 + 0.125):
+        rates = compose_weighted(quints(pairs, weights), threshold)
+        want_far, want_frr = weighted_rates_numpy(pairs, weights, threshold)
+        assert math.isclose(rates.far, want_far, rel_tol=1e-9, abs_tol=1e-300), threshold
+        assert math.isclose(rates.frr, want_frr, rel_tol=1e-9, abs_tol=1e-300), threshold
+
+
+def test_weighted_enumerates_each_half_once(monkeypatch):
+    calls = 0
+    half_outcomes = reliability._half_outcomes
+
+    def counted(weights, pairs):
+        nonlocal calls
+        calls += 1
+        return half_outcomes(weights, pairs)
+
+    monkeypatch.setattr(reliability, "_half_outcomes", counted)
+    for n in (1, 2, 7, EXACT_WEIGHTED_LIMIT):
+        calls = 0
+        compose_weighted([(0.0003, 0.02, 1.0, 1.0, 1.0)] * n, n / 2)
+        assert calls == 2, n
+
+
 def test_weighted_equals_kofn_at_half_offset_threshold():
     rng = random.Random(666)
     for _ in range(40):
@@ -269,6 +308,11 @@ def test_underflow_reported_as_zero_with_flag():
     assert (kofn.far, kofn.far_underflow, kofn.frr_underflow) == (0.0, True, False)
     kofn = compose_kofn([(0.02, 1e-200)] * 4, 3)
     assert (kofn.frr, kofn.frr_underflow, kofn.far_underflow) == (0.0, True, False)
+    # weighted: every check must pass (far) or fail (frr), 1e-400 collapses to 0
+    weighted = compose_weighted(quints([(1e-100, 0.02)] * 4, [1.0, 2.0, 1.0, 0.5]), 4.0)
+    assert (weighted.far, weighted.far_underflow, weighted.frr_underflow) == (0.0, True, False)
+    weighted = compose_weighted(quints([(0.02, 1e-100)] * 4, [1.0, 2.0, 1.0, 0.5]), 0.25)
+    assert (weighted.frr, weighted.frr_underflow, weighted.far_underflow) == (0.0, True, False)
 
 
 def test_exact_zero_is_not_flagged_as_underflow():
@@ -284,6 +328,12 @@ def test_exact_zero_is_not_flagged_as_underflow():
     # three factors pass for certain, so < 3 passes is impossible
     kofn = compose_kofn([(0.1, 0.0)] * 3 + [(0.1, 0.1)] * 2, 3)
     assert (kofn.frr, kofn.frr_underflow) == (0.0, False)
+    # weighted: the factors that can pass reach at most 3.5 <= T
+    weighted = compose_weighted(quints([(0.1, 0.1), (0.0, 0.1), (0.1, 0.1), (0.0, 0.1)], [1.0, 2.0, 2.5, 1.0]), 3.5)
+    assert (weighted.far, weighted.far_underflow) == (0.0, False)
+    # weighted: a factor that passes for certain already exceeds T
+    weighted = compose_weighted(quints([(0.1, 0.1), (0.1, 0.1), (0.1, 0.0), (0.1, 0.1)], [1.0, 2.0, 2.5, 1.0]), 2.0)
+    assert (weighted.frr, weighted.frr_underflow) == (0.0, False)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -395,6 +445,21 @@ def test_sweep_csv_rendering():
         assert int(fields[2]) == row.k
         assert float(fields[3]) == row.far
         assert float(fields[4]) == row.frr
+
+
+def test_negative_zero_rates_compose_to_positive_zero():
+    # 0.0 <= -0.0 passes validation; no rate may come back as -0.0
+    for far, frr in ((-0.0, 0.02), (0.02, -0.0)):
+        lines = sweep_to_csv(sweep(far, frr, range(1, 4))).splitlines()
+        assert "-0" not in [cell for line in lines for cell in line.split(",")]
+    results = [
+        compose_all([(-0.0, 0.02)] * 3),
+        compose_any([(0.1, -0.0)] * 3),
+        compose_kofn([(-0.0, -0.0)] * 3, 2),
+        compose_weighted(quints([(-0.0, -0.0)] * 3, [1.0] * 3), 0.5),
+    ]
+    for rates in results:
+        assert math.copysign(1.0, rates.far) == math.copysign(1.0, rates.frr) == 1.0, rates
 
 
 def test_majority_rule():
