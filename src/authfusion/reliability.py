@@ -229,8 +229,8 @@ def _weighted_tails(weights: Sequence[float], pairs: Sequence[tuple[float, float
     Meet-in-the-middle: enumerate each half once for both populations, sort
     the right half, and resolve each left outcome against the right half's
     adversary suffix and legitimate prefix mass. Each event also records
-    whether it has any positive-probability outcome at all, so a true zero
-    is told apart from underflow.
+    whether it has any possible outcome at all, taken from the source rates
+    rather than the masses, so a true zero is told apart from underflow.
     """
     half = (len(weights) + 1) // 2
     a_scores, a_mass = _half_outcomes(weights[:half], pairs[:half])
@@ -241,10 +241,13 @@ def _weighted_tails(weights: Sequence[float], pairs: Sequence[tuple[float, float
     # per left outcome: right-half mass above T - a and at most T - a
     above = np.concatenate([np.cumsum(b_adv[::-1])[::-1], [0.0]])[idx]
     below = np.concatenate([[0.0], np.cumsum(b_leg)])[idx]
-    # a running sum of non-negative masses is positive iff one of them is, so
-    # an event is possible iff some left outcome and its tail both have mass
-    far, far_uf = _floored(math.fsum((a_mass[0] * above).tolist()), bool(np.any((a_mass[0] > 0.0) & (above > 0.0))))
-    frr, frr_uf = _floored(math.fsum((a_mass[1] * below).tolist()), bool(np.any((a_mass[1] > 0.0) & (below > 0.0))))
+    # possible: every branch taken has a positive rate. No score falls as passes
+    # are added, so test the outcome passing all that can pass (far) or failing
+    # all that can fail (frr); bit j of a half's outcome index is factor j's pass
+    top = [sum(1 << j for j, (far, _) in enumerate(p) if far > 0.0) for p in (pairs[:half], pairs[half:])]
+    low = [sum(1 << j for j, (_, frr) in enumerate(p) if not frr > 0.0) for p in (pairs[:half], pairs[half:])]
+    far, far_uf = _floored(math.fsum((a_mass[0] * above).tolist()), bool(b_scores[top[1]] > threshold - a_scores[top[0]]))
+    frr, frr_uf = _floored(math.fsum((a_mass[1] * below).tolist()), bool(b_scores[low[1]] <= threshold - a_scores[low[0]]))
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
@@ -366,16 +369,20 @@ def _weighted_rule(weights: Sequence[float], threshold: float) -> Callable[[np.n
     return lambda passes: passes @ w > threshold
 
 
-def _grant_rule(policy: Policy, weights: Sequence[float] | None) -> Callable[[np.ndarray], np.ndarray]:
+def _passes_per_row(passes: np.ndarray) -> np.ndarray:
+    """Passes per row, one column at a time: faster than passes.sum(axis=1)."""
+    count = np.zeros(len(passes), dtype=np.int32)
+    for j in range(passes.shape[1]):
+        count += passes[:, j]
+    return count
+
+
+def _grant_rule(policy: Policy, weights: Sequence[float] | None, n: int) -> Callable[[np.ndarray], np.ndarray]:
     kind = policy.strategy.kind
     if kind is StrategyKind.WEIGHTED:
         return _weighted_rule(weights, policy.strategy.threshold)
-    if kind is StrategyKind.ALL:
-        return lambda passes: passes.all(axis=1)
-    if kind is StrategyKind.ANY:
-        return lambda passes: passes.any(axis=1)
-    k = policy.strategy.k
-    return lambda passes: passes.sum(axis=1) >= k
+    k = {StrategyKind.ALL: n, StrategyKind.ANY: 1}.get(kind, policy.strategy.k)
+    return lambda passes: _passes_per_row(passes) >= k
 
 
 def _mc_rates(pairs: Sequence[tuple[float, float]], grant: Callable, trials: int, seed: int, workers: int) -> MonteCarloRates:
@@ -416,7 +423,7 @@ def monte_carlo_rates(
     elif policy.strategy.kind is StrategyKind.KOFN and policy.strategy.k > len(factors):
         raise ConfigError(f"k={policy.strategy.k} exceeds the {len(factors)} factors", field="k")
     pairs = [(f.far, f.frr) for f in factors]
-    return _mc_rates(pairs, _grant_rule(policy, weights), trials, seed, workers)
+    return _mc_rates(pairs, _grant_rule(policy, weights, len(pairs)), trials, seed, workers)
 
 
 # ---------------------------------------------------------------------------

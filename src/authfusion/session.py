@@ -37,7 +37,7 @@ from .catalog import ActionMode, Factor, gate_factors
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
 from .fusion import EvidenceRecord, Policy, StrategyKind, decide
-from .reliability import _fmt17, _run_shards
+from .reliability import _fmt17, _passes_per_row, _run_shards
 from .trust import effective_weights
 
 _PRE = SessionPhase.PRE_AUTHENTICATION
@@ -810,8 +810,9 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
 
 
 def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario, index):
-    """Draw one shard's randomness in a fixed order: population, one
-    uniform per scheduled firing, one per session for monitoring.
+    """Draw one shard's randomness in a fixed order: population, one uniform
+    per scheduled firing, one per session for monitoring. Adversary rows of
+    passes are compared again in place: no sessions x factors threshold matrix.
 
     Scorable checks fail independently at the session's per-check rate
     q, so the rank of the first failure among them is geometric, drawn
@@ -822,9 +823,8 @@ def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenari
     adversary = rng.random(size) < scenario.adversary_fraction
     firings = plan.pre + plan.active
     u = rng.random((size, len(firings)))
-    far = np.array([index[x.factor_id].far for x in firings])
-    legit = np.array([1.0 - index[x.factor_id].frr for x in firings])
-    passes = u < np.where(adversary[:, None], far, legit)
+    passes = u < np.array([1.0 - index[x.factor_id].frr for x in firings])
+    np.less(u, np.array([index[x.factor_id].far for x in firings]), out=passes, where=adversary[:, None])
     if not plan.scorable:
         return adversary, passes, np.full(size, plan.n_checks, dtype=np.int64)
 
@@ -887,8 +887,10 @@ def _exact_weighted(passes: np.ndarray, weights: tuple[float, ...]) -> np.ndarra
     SessionMachine produce."""
     table = _score_table(weights)
     if table is not None:
-        powers = 1 << np.arange(passes.shape[1], dtype=np.int64)
-        return table[passes.astype(np.int64) @ powers]
+        mask = np.zeros(len(passes), dtype=np.int32)
+        for j in range(passes.shape[1]):
+            mask += passes[:, j] * np.int32(1 << j)
+        return table[mask]
     return np.fromiter(
         (math.fsum(weights[j] for j in np.flatnonzero(row)) for row in passes),
         dtype=float,
@@ -898,7 +900,7 @@ def _exact_weighted(passes: np.ndarray, weights: tuple[float, ...]) -> np.ndarra
 
 def _score(plan: _Plan, passes: np.ndarray, point: _Score) -> np.ndarray:
     cols = passes[:, list(point.cols)]
-    return _exact_weighted(cols, point.weights) if plan.weighted else cols.sum(axis=1)
+    return _exact_weighted(cols, point.weights) if plan.weighted else _passes_per_row(cols)
 
 
 def _first_basic(plan: _Plan, passes: np.ndarray, points: Sequence[_Score]) -> np.ndarray:

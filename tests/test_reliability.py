@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import authfusion.reliability as reliability
@@ -315,6 +317,46 @@ def test_underflow_reported_as_zero_with_flag():
     assert (weighted.frr, weighted.frr_underflow, weighted.far_underflow) == (0.0, True, False)
 
 
+def test_weighted_underflow_flag_comes_from_the_rates_not_the_masses():
+    # every half mass of the all-pass outcome underflows (1e-400), so only
+    # the source rates can tell that >= 4 passes is possible
+    tiny = quints([(1e-200, 0.02)] * 4, [1.0] * 4)
+    for threshold in (3.5, 2.5):
+        weighted = compose_weighted(tiny, threshold)
+        assert (weighted.far, weighted.far_underflow, weighted.frr_underflow) == (0.0, True, False)
+        assert compose_kofn([(1e-200, 0.02)] * 4, int(threshold + 0.5)).far_underflow
+    assert compose_all([(1e-200, 0.02)] * 4).far_underflow
+    weighted = compose_weighted(quints([(0.02, 1e-200)] * 4, [1.0] * 4), 0.5)
+    assert (weighted.frr, weighted.frr_underflow, weighted.far_underflow) == (0.0, True, False)
+    # the same shapes with one factor that can never pass (far) or never
+    # fail (frr): the event is impossible, not underflowed
+    weighted = compose_weighted(quints([(1e-200, 0.02)] * 3 + [(0.0, 0.02)], [1.0] * 4), 3.5)
+    assert (weighted.far, weighted.far_underflow) == (0.0, False)
+    weighted = compose_weighted(quints([(0.02, 1e-200)] * 3 + [(0.02, 0.0)], [1.0] * 4), 0.5)
+    assert (weighted.frr, weighted.frr_underflow) == (0.0, False)
+
+
+def test_weighted_underflow_flags_match_an_outcome_enumeration():
+    # a zero event is flagged iff some outcome whose every branch has a
+    # positive rate lands in it; dyadic weights keep the scores exact
+    rng = random.Random(808)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        pairs = [(rng.choice([0.0, 1.0, 1e-200, rng.random()]), rng.choice([0.0, 1.0, 1e-200, rng.random()])) for _ in range(n)]
+        weights = [rng.choice(DYADIC) for _ in range(n)]
+        threshold = rng.choice([-0.25, 0.0, sum(weights), sum(w for w in weights if rng.random() < 0.5)])
+        rates = compose_weighted(quints(pairs, weights), threshold)
+        far_possible = frr_possible = False
+        for outcome in itertools.product((False, True), repeat=n):
+            granted = weighted_grant(weights, threshold)(outcome)
+            if granted and all((far if o else 1.0 - far) > 0.0 for o, (far, _) in zip(outcome, pairs)):
+                far_possible = True
+            if not granted and all((1.0 - frr if o else frr) > 0.0 for o, (_, frr) in zip(outcome, pairs)):
+                frr_possible = True
+        assert rates.far_underflow == (rates.far == 0.0 and far_possible), (pairs, weights, threshold)
+        assert rates.frr_underflow == (rates.frr == 0.0 and frr_possible), (pairs, weights, threshold)
+
+
 def test_exact_zero_is_not_flagged_as_underflow():
     rates = compose_all([(0.0, 0.02)] * 3)
     assert rates.far == 0.0
@@ -356,6 +398,45 @@ def test_monte_carlo_deterministic_and_worker_independent():
     assert a == b == c
     d = monte_carlo_rates(factors, policy, 150_000, seed=78)
     assert d != a
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 300])
+def test_passes_per_row_equals_row_sum(cols):
+    rng = np.random.default_rng(cols)
+    passes = rng.random((1000, cols)) < rng.random(cols)
+    counts = reliability._passes_per_row(passes)
+    assert counts.shape == (1000,)
+    assert np.array_equal(counts, passes.sum(axis=1))
+
+
+def _recount(pairs, rule, trials, seed):
+    # the estimator's shards and draws, scored by a short-axis reduce
+    full, rem = divmod(trials, 1 << 16)
+    sizes = [1 << 16] * full + ([rem] if rem else [])
+    counts = []
+    for seq, probs in zip(np.random.SeedSequence(seed).spawn(2),
+                          ([far for far, _ in pairs], [1.0 - frr for _, frr in pairs])):
+        granted = 0
+        for child, size in zip(seq.spawn(len(sizes)), sizes):
+            passes = np.random.default_rng(child).random((size, len(probs))) < probs
+            granted += int(np.count_nonzero(rule(passes)))
+        counts.append(granted)
+    return counts[0], trials - counts[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("strategy, rule", [
+    (Strategy.all_checks(), lambda passes: passes.all(axis=1)),
+    (Strategy.any_check(), lambda passes: passes.any(axis=1)),
+    (Strategy.k_of_n(4), lambda passes: passes.sum(axis=1) >= 4),
+])
+def test_monte_carlo_counting_events_equal_a_row_reduce_recount(strategy, rule, workers):
+    # rates wide enough that every rule sees events in both populations
+    factors = [replace(f, far=0.2 + 0.1 * i, frr=0.05 + 0.05 * i) for i, f in enumerate(DEFAULT_CATALOG[:7])]
+    est = monte_carlo_rates(factors, Policy(strategy=strategy), 150_000, seed=41, workers=workers)
+    far_events, frr_events = _recount([(f.far, f.frr) for f in factors], rule, 150_000, 41)
+    assert (est.far.events, est.frr.events) == (far_events, frr_events)
+    assert 0 < far_events < 150_000 and 0 < frr_events < 150_000
 
 
 def test_monte_carlo_single_trial_degenerate():

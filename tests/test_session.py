@@ -31,7 +31,9 @@ from authfusion.session import (
     Tick,
     _build_plan,
     _combine,
+    _exact_weighted,
     _sample_shard,
+    _score_table,
     load_scenario,
     report_summary,
     report_to_csv,
@@ -824,6 +826,36 @@ def test_simulation_is_deterministic_across_workers():
     assert report_to_csv(a) == report_to_csv(b)
     c = run_simulation(sc, CATALOG3, W_POLICY, trials=150_000, seed=78)
     assert a != c
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_sampled_passes_equal_a_per_session_threshold_matrix(fraction):
+    # the in-place sampler against the matrix of per-session thresholds
+    # it replaces, drawn again from the same child seed
+    scenario = Scenario(adversary_fraction=fraction)
+    policy = Policy(Strategy.k_of_n(3))
+    _, plan = _build_plan(scenario, DEFAULT_CATALOG, policy)
+    firings = plan.pre + plan.active
+    assert len(firings) > 3
+    child = np.random.SeedSequence(23).spawn(1)[0]
+    adversary, passes, _ = _sample_shard(child, 5000, plan, scenario, BY_ID)
+    rng = np.random.default_rng(child)
+    adv = rng.random(5000) < fraction
+    u = rng.random((5000, len(firings)))
+    far = np.array([BY_ID[x.factor_id].far for x in firings])
+    legit = np.array([1.0 - BY_ID[x.factor_id].frr for x in firings])
+    assert np.array_equal(adversary, adv)
+    assert np.array_equal(passes, u < np.where(adv[:, None], far, legit))
+
+
+@pytest.mark.parametrize("cols", [13, 16])
+def test_exact_weighted_equals_the_int64_matmul_index(cols):
+    rng = np.random.default_rng(cols)
+    passes = rng.random((4000, cols)) < 0.5
+    weights = tuple(rng.uniform(0.1, 2.0, cols).tolist())
+    powers = 1 << np.arange(cols, dtype=np.int64)
+    want = _score_table(weights)[passes.astype(np.int64) @ powers]
+    assert np.array_equal(_exact_weighted(passes, weights), want)
 
 
 def test_context_change_runs_on_the_machine_engine():
