@@ -167,12 +167,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(f"score: {decision.score!r}")
         print(f"threshold: {strategy.threshold!r}")
     else:
-        need = {
-            StrategyKind.ALL: len(records),
-            StrategyKind.ANY: 1,
-            StrategyKind.KOFN: strategy.k,
-        }[strategy.kind]
-        print(f"passed: {decision.passed_count} of {len(records)} (need {need})")
+        print(f"passed: {decision.passed_count} of {len(records)} (need {strategy.passes_needed(len(records))})")
     print("contributions:")
     for factor_id, value in decision.contributing:
         print(f"  {factor_id}: {value!r}")

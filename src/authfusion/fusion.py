@@ -70,6 +70,11 @@ class Strategy:
     def weighted(cls, threshold: float) -> "Strategy":
         return cls(StrategyKind.WEIGHTED, threshold=float(threshold))
 
+    def passes_needed(self, n: int) -> int:
+        """The pass count a counting strategy over n factors grants at: all
+        n, any one, or k. Every counting rule grants iff passes >= this."""
+        return {StrategyKind.ALL: n, StrategyKind.ANY: 1}.get(self.kind, self.k)
+
 
 @dataclass(frozen=True)
 class Policy:
@@ -159,9 +164,7 @@ def decide(records: Sequence[EvidenceRecord], policy: Policy, catalog: Sequence[
         seen.add(rec.factor_id)
 
     passed = sum(rec.decision for rec in records)
-    kind = policy.strategy.kind
-
-    if kind is StrategyKind.WEIGHTED:
+    if policy.strategy.kind is StrategyKind.WEIGHTED:
         contributions = []
         for rec in records:
             if rec.factor_id not in policy.weights:
@@ -180,12 +183,7 @@ def decide(records: Sequence[EvidenceRecord], policy: Policy, catalog: Sequence[
         )
 
     contributions = [(rec.factor_id, float(rec.decision)) for rec in records]
-    if kind is StrategyKind.ALL:
-        granted = passed == len(records)
-    elif kind is StrategyKind.ANY:
-        granted = passed >= 1
-    else:
-        granted = passed >= policy.strategy.k
+    granted = passed >= policy.strategy.passes_needed(len(records))
     return Decision(granted=granted, score=None, passed_count=passed, contributing=tuple(contributions))
 
 

@@ -3,9 +3,10 @@
 All composition assumes independent factors. Counting strategies reduce
 to tails of a Poisson-binomial pass-count distribution, computed by exact
 dynamic programming that a sweep extends from n to n+1 factors (O(N^2) over
-1..N); the weighted-threshold rule is evaluated by exact enumeration over
-outcome vectors (meet-in-the-middle, capped at n=25), with each half
-enumerated once and shared by both populations.
+1..N); the weighted-threshold rule, fsum(passing weights) > T as decide()
+applies it, is evaluated by exact enumeration over outcome vectors
+(meet-in-the-middle, capped at n=25), with each half enumerated once and
+shared by both populations.
 A seeded Monte Carlo estimator serves as an independent cross-check for
 every strategy. Probabilities stay in linear space with compensated
 summation, and pass/fail probabilities are taken from the source rates
@@ -211,6 +212,35 @@ def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, pairs: 
 EXACT_WEIGHTED_LIMIT = 25
 
 
+def _tie_band(weights: Sequence[float], threshold: float) -> float:
+    """Half-width of the band about T inside which a float sum of passing
+    weights cannot settle fsum(passing weights) > T: the error of any float
+    sum of n weights, gamma_n * sum(|w|) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 4.2), plus the rounding of
+    T - a, plus one ulp of T; doubled to cover rounding the band's own
+    edges."""
+    u, n, total = 2.0**-53, len(weights), math.fsum(map(abs, weights))
+    return 2.0 * (n * u / (1.0 - n * u) * total + u * (abs(threshold) + total) + math.ulp(threshold))
+
+
+def _weighted_above(passes: np.ndarray, weights: Sequence[float], threshold: float) -> np.ndarray:
+    """Per row of a boolean pass matrix, math.fsum(passing weights) > T: the
+    weighted grant rule of decide(), so ties deny everywhere.
+
+    An adaptive predicate (Shewchuk, DCG 18, 1997): a single-threaded float
+    estimate decides every row farther than _tie_band from T, and fsum the
+    rest, once per distinct multiset of passing weights (the sorted row with
+    failing columns zeroed): equal weights cost one fsum per pass count."""
+    s = np.einsum("ij,j->i", passes, np.asarray(weights, dtype=float))
+    above = s > threshold
+    s -= threshold
+    near = np.flatnonzero(np.abs(s, out=s) <= _tie_band(weights, threshold))
+    if len(near):
+        rows, inverse = np.unique(np.sort(np.where(passes[near], weights, 0.0), axis=1), axis=0, return_inverse=True)
+        above[near] = np.array([math.fsum(row) > threshold for row in rows.tolist()], dtype=bool)[inverse.ravel()]
+    return above
+
+
 def _half_outcomes(weights: Sequence[float], pairs: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     # all 2^m outcomes of one half: the score reached, and its probability
     # mass under the adversary (row 0) and the legitimate user (row 1)
@@ -218,7 +248,7 @@ def _half_outcomes(weights: Sequence[float], pairs: Sequence[tuple[float, float]
     mass = np.ones((2, 1))
     for w, (far, frr) in zip(weights, pairs):
         scores = np.concatenate([scores, scores + w])
-        mass = np.concatenate([mass * [[1.0 - far], [frr]], mass * [[far], [1.0 - frr]]], axis=1)
+        mass = (np.array([[1.0 - far, far], [frr, 1.0 - frr]])[:, :, None] * mass[:, None, :]).reshape(2, -1)
     return scores, mass
 
 
@@ -228,26 +258,48 @@ def _weighted_tails(weights: Sequence[float], pairs: Sequence[tuple[float, float
 
     Meet-in-the-middle: enumerate each half once for both populations, sort
     the right half, and resolve each left outcome against the right half's
-    adversary suffix and legitimate prefix mass. Each event also records
-    whether it has any possible outcome at all, taken from the source rates
-    rather than the masses, so a true zero is told apart from underflow.
+    adversary suffix and legitimate prefix mass; pairs within the tie band
+    of T are resolved by _weighted_above. Each event also records whether it
+    has any possible outcome at all, taken from the source rates rather than
+    the masses, so a true zero is told apart from underflow.
     """
     half = (len(weights) + 1) // 2
     a_scores, a_mass = _half_outcomes(weights[:half], pairs[:half])
     b_scores, b_mass = _half_outcomes(weights[half:], pairs[half:])
     order = np.argsort(b_scores, kind="stable")
+    b_sorted = b_scores[order]
     b_adv, b_leg = b_mass[0, order], b_mass[1, order]
-    idx = np.searchsorted(b_scores[order], threshold - a_scores, side="right")
+    split = threshold - a_scores
+    idx = np.searchsorted(b_sorted, split, side="right")
     # per left outcome: right-half mass above T - a and at most T - a
-    above = np.concatenate([np.cumsum(b_adv[::-1])[::-1], [0.0]])[idx]
-    below = np.concatenate([[0.0], np.cumsum(b_leg)])[idx]
-    # possible: every branch taken has a positive rate. No score falls as passes
-    # are added, so test the outcome passing all that can pass (far) or failing
-    # all that can fail (frr); bit j of a half's outcome index is factor j's pass
-    top = [sum(1 << j for j, (far, _) in enumerate(p) if far > 0.0) for p in (pairs[:half], pairs[half:])]
-    low = [sum(1 << j for j, (_, frr) in enumerate(p) if not frr > 0.0) for p in (pairs[:half], pairs[half:])]
-    far, far_uf = _floored(math.fsum((a_mass[0] * above).tolist()), bool(b_scores[top[1]] > threshold - a_scores[top[0]]))
-    frr, frr_uf = _floored(math.fsum((a_mass[1] * below).tolist()), bool(b_scores[low[1]] <= threshold - a_scores[low[0]]))
+    suffix = np.concatenate([np.cumsum(b_adv[::-1])[::-1], [0.0]])
+    prefix = np.concatenate([[0.0], np.cumsum(b_leg)])
+    above, below = suffix[idx], prefix[idx]
+    # a tie band is non-empty iff the nearer neighbour of the split lies inside it
+    band = _tie_band(weights, threshold)
+    edges = np.concatenate([[-np.inf], b_sorted, [np.inf]])
+    near = np.flatnonzero(np.minimum(split - edges[idx], edges[idx + 1] - split) <= band)
+    if len(near):
+        lo = np.searchsorted(b_sorted, split[near] - band, side="left")
+        hi = np.searchsorted(b_sorted, split[near] + band, side="right")
+        # left outcomes with the same band and the same passing weights, as a
+        # multiset, share every answer; bit j of an outcome index is factor j's pass
+        left = (near[:, None] >> np.arange(half)) & 1 == 1
+        keys = np.column_stack([lo, hi, np.sort(np.where(left, weights[:half], 0.0), axis=1)])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        far_in, frr_in = np.empty(len(first)), np.empty(len(first))
+        for c, (i, l, h) in enumerate(zip(first, lo[first], hi[first])):
+            right = (order[l:h, None] >> np.arange(len(weights) - half)) & 1 == 1
+            granted = _weighted_above(np.hstack([np.broadcast_to(left[i], (h - l, half)), right]), weights, threshold)
+            far_in[c], frr_in[c] = math.fsum(b_adv[l:h][granted].tolist()), math.fsum(b_leg[l:h][~granted].tolist())
+        above[near] = suffix[hi] + far_in[inverse.ravel()]
+        below[near] = prefix[lo] + frr_in[inverse.ravel()]
+    # possible: every branch taken has a positive rate. No score falls as passes are
+    # added, so test the outcome passing all that can pass, or failing all that can fail
+    far_possible = math.fsum(w for w, (far, _) in zip(weights, pairs) if far > 0.0) > threshold
+    frr_possible = not math.fsum(w for w, (_, frr) in zip(weights, pairs) if not frr > 0.0) > threshold
+    far, far_uf = _floored(math.fsum((a_mass[0] * above).tolist()), far_possible)
+    frr, frr_uf = _floored(math.fsum((a_mass[1] * below).tolist()), frr_possible)
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
@@ -260,7 +312,9 @@ def compose_weighted(
     seed: int = 0,
     workers: int = 1,
 ):
-    """Composite rates of the weighted rule sum(delta*mu*tau*phi) > T.
+    """Composite rates of the weighted rule sum(delta*mu*tau*phi) > T. The
+    score is the fsum-rounded sum, and every engine (decide, the simulator,
+    Monte Carlo and this) grants iff it is > T, so ties deny everywhere.
 
     factors are (far, frr, mu, tau, phi) tuples. Exact mode enumerates all
     outcome vectors and is capped at n=25; past that, pass
@@ -280,10 +334,12 @@ def compose_weighted(
                     f"{name} must be finite and non-negative", field=f"factors[{i}].{name}"
                 )
         weights.append(mu * tau * phi)
+    if not math.isfinite(sum(weights)):
+        raise ConfigError("the weights mu*tau*phi must have a finite sum", field="factors")
     _validate_pairs(pairs)
 
     if mode == "monte-carlo":
-        return _mc_rates(pairs, _weighted_rule(weights, threshold), trials, seed, workers)
+        return _mc_rates(pairs, lambda passes: _weighted_above(passes, weights, threshold), trials, seed, workers)
     if mode != "exact":
         raise ConfigError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}", field="mode")
     if len(factors) > EXACT_WEIGHTED_LIMIT:
@@ -347,51 +403,32 @@ def _run_shards(trials: int, seed_seq: np.random.SeedSequence, workers: int, sha
     return [shard_fn(*job) for job in jobs]
 
 
-def _simulate_counts(
-    pass_probs: Sequence[float],
-    grant_fn: Callable[[np.ndarray], np.ndarray],
-    trials: int,
-    seed_seq: np.random.SeedSequence,
-    workers: int,
-) -> int:
-    """Count granted trials, summed over independently seeded shards."""
-    probs = np.asarray(pass_probs)
-
-    def run(child: np.random.SeedSequence, size: int) -> int:
-        passes = np.random.default_rng(child).random((size, len(probs))) < probs
-        return int(np.count_nonzero(grant_fn(passes)))
-
-    return sum(_run_shards(trials, seed_seq, workers, run))
-
-
-def _weighted_rule(weights: Sequence[float], threshold: float) -> Callable[[np.ndarray], np.ndarray]:
-    w = np.asarray(weights)
-    return lambda passes: passes @ w > threshold
-
-
-def _passes_per_row(passes: np.ndarray) -> np.ndarray:
-    """Passes per row, one column at a time: faster than passes.sum(axis=1)."""
+def _passes_per_row(passes: np.ndarray, cols: Iterable[int] | None = None) -> np.ndarray:
+    """Passes per row over cols (default: every column), one column at a
+    time, read in place: faster than passes.sum(axis=1)."""
     count = np.zeros(len(passes), dtype=np.int32)
-    for j in range(passes.shape[1]):
+    for j in range(passes.shape[1]) if cols is None else cols:
         count += passes[:, j]
     return count
 
 
-def _grant_rule(policy: Policy, weights: Sequence[float] | None, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    kind = policy.strategy.kind
-    if kind is StrategyKind.WEIGHTED:
-        return _weighted_rule(weights, policy.strategy.threshold)
-    k = {StrategyKind.ALL: n, StrategyKind.ANY: 1}.get(kind, policy.strategy.k)
-    return lambda passes: _passes_per_row(passes) >= k
-
-
 def _mc_rates(pairs: Sequence[tuple[float, float]], grant: Callable, trials: int, seed: int, workers: int) -> MonteCarloRates:
-    """Seeded FAR/FRR estimate of a grant rule over (far, frr) pairs."""
+    """Seeded FAR/FRR estimate of a grant rule over (far, frr) pairs. Each
+    population's granted trials are summed over independently seeded shards."""
     if trials < 1:
         raise ConfigError("trials must be at least 1", field="trials")
+
+    def granted(pass_probs: list[float], seed_seq: np.random.SeedSequence) -> int:
+        probs = np.asarray(pass_probs)
+
+        def run(child: np.random.SeedSequence, size: int) -> int:
+            passes = np.random.default_rng(child).random((size, len(probs))) < probs
+            return int(np.count_nonzero(grant(passes)))
+        return sum(_run_shards(trials, seed_seq, workers, run))
+
     adversary_seq, legitimate_seq = np.random.SeedSequence(seed).spawn(2)
-    false_grants = _simulate_counts([far for far, _ in pairs], grant, trials, adversary_seq, workers)
-    grants = _simulate_counts([1.0 - frr for _, frr in pairs], grant, trials, legitimate_seq, workers)
+    false_grants = granted([far for far, _ in pairs], adversary_seq)
+    grants = granted([1.0 - frr for _, frr in pairs], legitimate_seq)
     return MonteCarloRates(far=_estimate(false_grants, trials), frr=_estimate(trials - grants, trials), seed=seed)
 
 
@@ -412,18 +449,21 @@ def monte_carlo_rates(
     """
     if not factors:
         raise EvaluationError("factor list must be non-empty")
-    weights = None
-    if policy.strategy.kind is StrategyKind.WEIGHTED:
+    strategy = policy.strategy
+    if strategy.kind is StrategyKind.WEIGHTED:
         trust = trust or {}
         weights = []
         for f in factors:
             if f.id not in policy.weights:
                 raise ConfigError(f"policy assigns no weight to factor '{f.id}'", field=f.id)
             weights.append(f.vendor_accuracy * trust.get(f.id, 1.0) * policy.weights[f.id])
-    elif policy.strategy.kind is StrategyKind.KOFN and policy.strategy.k > len(factors):
-        raise ConfigError(f"k={policy.strategy.k} exceeds the {len(factors)} factors", field="k")
-    pairs = [(f.far, f.frr) for f in factors]
-    return _mc_rates(pairs, _grant_rule(policy, weights, len(pairs)), trials, seed, workers)
+        grant = lambda passes: _weighted_above(passes, weights, strategy.threshold)
+    else:
+        if strategy.kind is StrategyKind.KOFN and strategy.k > len(factors):
+            raise ConfigError(f"k={strategy.k} exceeds the {len(factors)} factors", field="k")
+        k = strategy.passes_needed(len(factors))
+        grant = lambda passes: _passes_per_row(passes) >= k
+    return _mc_rates([(f.far, f.frr) for f in factors], grant, trials, seed, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -37,7 +36,7 @@ from .catalog import ActionMode, Factor, gate_factors
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
 from .fusion import EvidenceRecord, Policy, StrategyKind, decide
-from .reliability import _fmt17, _passes_per_row, _run_shards
+from .reliability import _fmt17, _passes_per_row, _run_shards, _weighted_above
 from .trust import effective_weights
 
 _PRE = SessionPhase.PRE_AUTHENTICATION
@@ -262,17 +261,11 @@ class SessionMachine:
         return self._policy.with_weights(weights)
 
     def _resolve_thresholds(self) -> None:
-        kind = self._policy.strategy.kind
         if self._weighted:
             full = self._policy.strategy.threshold
             bound = f"the full threshold {full}"
         else:
-            if kind is StrategyKind.ALL:
-                k_eff = len(self.expected_factors(self._ctx))
-            elif kind is StrategyKind.ANY:
-                k_eff = 1
-            else:
-                k_eff = self._policy.strategy.k
+            k_eff = self._policy.strategy.passes_needed(len(self.expected_factors(self._ctx)))
             full = float(k_eff)
             bound = f"the effective pass count {k_eff}"
         basic = self._config.t_basic if self._config.t_basic is not None else full / 2.0
@@ -668,7 +661,8 @@ class _Plan:
     scorable: tuple[tuple[int, int], ...]
     monitor_factor: str | None
     weighted: bool
-    threshold: float  # a counting rule's k_eff - 1: grants take more passes
+    threshold: float | None  # weighted: a Full grant takes a score above it
+    k: int | None  # counting: a Full grant takes at least k passes
     t_basic: float
 
     def check_time(self, c: int) -> float:
@@ -771,15 +765,6 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         monitor_factor = next((f.id for f in chosen if f.id in mon_ids), None)
     n_checks = scenario.config.n_checks if monitor_factor else 0
 
-    # passes a counting rule needs; with nothing expected, ALL denies
-    kind = policy.strategy.kind
-    if kind is StrategyKind.ALL:
-        k_eff = max(len(decided_on), 1)
-    elif kind is StrategyKind.KOFN:
-        k_eff = policy.strategy.k
-    else:
-        k_eff = 1
-
     plan = _Plan(
         pre=pre,
         active=active,
@@ -794,7 +779,9 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         scorable=(),
         monitor_factor=monitor_factor,
         weighted=weighted,
-        threshold=policy.strategy.threshold if weighted else float(k_eff - 1),
+        threshold=policy.strategy.threshold,
+        # with nothing expected, every strategy denies: all takes one pass too
+        k=None if weighted else max(policy.strategy.passes_needed(len(decided_on)), 1),
         t_basic=machine.t_basic,
     )
     # context stretch i covers the checks timed from its change up to the
@@ -869,52 +856,32 @@ class _Tally:
     firings: Counter = field(default_factory=Counter)
 
 
-@lru_cache(maxsize=64)
-def _score_table(weights: tuple[float, ...]) -> "np.ndarray | None":
-    """Exactly rounded subset-sum per pass mask; None above the size cap."""
-    n = len(weights)
-    if n > 16:
-        return None
-    table = np.empty(1 << n)
-    for mask in range(1 << n):
-        table[mask] = math.fsum(weights[j] for j in range(n) if mask >> j & 1)
-    return table
+def _above(plan: _Plan, passes: np.ndarray, point: _Score, threshold: float) -> np.ndarray:
+    """Per session: the score at point (fsum-rounded weighted sum, or pass count) > threshold."""
+    if plan.weighted:
+        return _weighted_above(passes[:, list(point.cols)], point.weights, threshold)
+    return _passes_per_row(passes, point.cols) > threshold
 
 
-def _exact_weighted(passes: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
-    """Per-row weighted score with math.fsum rounding, so the tally
-    compares against thresholds in exactly the same bits decide() and
-    SessionMachine produce."""
-    table = _score_table(weights)
-    if table is not None:
-        mask = np.zeros(len(passes), dtype=np.int32)
-        for j in range(passes.shape[1]):
-            mask += passes[:, j] * np.int32(1 << j)
-        return table[mask]
-    return np.fromiter(
-        (math.fsum(weights[j] for j in np.flatnonzero(row)) for row in passes),
-        dtype=float,
-        count=len(passes),
-    )
-
-
-def _score(plan: _Plan, passes: np.ndarray, point: _Score) -> np.ndarray:
-    cols = passes[:, list(point.cols)]
-    return _exact_weighted(cols, point.weights) if plan.weighted else _passes_per_row(cols)
+def _granted(plan: _Plan, passes: np.ndarray) -> np.ndarray:
+    """Per session, the active decision: a score above T or at least k passes."""
+    if plan.weighted:
+        return _above(plan, passes, plan.decision, plan.threshold)
+    return _passes_per_row(passes, plan.decision.cols) >= plan.k
 
 
 def _first_basic(plan: _Plan, passes: np.ndarray, points: Sequence[_Score]) -> np.ndarray:
     """Per session, the first point beating t_basic; len(points) if none."""
     first = np.full(len(passes), len(points))
     for i in reversed(range(len(points))):
-        first[_score(plan, passes, points[i]) > plan.t_basic] = i
+        first[_above(plan, passes, points[i], plan.t_basic)] = i
     return first
 
 
 def _vector_tally(plan: _Plan, adversary, passes, first) -> _Tally:
     size = len(adversary)
     basic = _first_basic(plan, passes, plan.basic) < len(plan.basic)
-    grant = _score(plan, passes, plan.decision) > plan.threshold
+    grant = _granted(plan, passes)
     decided_at = plan.decision.at
 
     tally = _Tally()
@@ -1117,7 +1084,7 @@ def time_to_grant(
     def run_shard(child: np.random.SeedSequence, size: int):
         _, passes, _ = _sample_shard(child, size, plan, scenario, index)
         first = _first_basic(plan, passes, plan.pre_scores)
-        granted = _score(plan, passes, plan.decision) > plan.threshold
+        granted = _granted(plan, passes)
         return arrival[first[first < len(arrival)]], int(granted.sum())
 
     shards = _run_shards(trials, np.random.SeedSequence(seed), 1, run_shard)

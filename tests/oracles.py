@@ -39,16 +39,17 @@ def weighted_grant(weights, threshold):
 
 def weighted_rates_numpy(pairs, weights, threshold):
     """Exact (far, frr) of the weighted rule score > T, with all 2^n outcome
-    rows enumerated at once as a numpy matrix. The score is a float matrix
-    product, so thresholds must not tie under rounding: use weights whose
-    sums are exact, such as dyadic ones."""
+    rows enumerated at once as a numpy matrix for the masses. Each row is
+    granted by weighted_grant, so the score is the fsum-rounded sum and
+    thresholds may tie with it."""
     n = len(pairs)
     passes = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
     far = np.array([f for f, _ in pairs])
     frr = np.array([f for _, f in pairs])
     p_adv = np.where(passes, far, 1.0 - far).prod(axis=1)
     p_leg = np.where(passes, 1.0 - frr, frr).prod(axis=1)
-    grant = passes @ np.array(weights, dtype=float) > threshold
+    rule = weighted_grant(weights, threshold)
+    grant = np.array([rule(row) for row in passes.tolist()], dtype=bool)
     return math.fsum(p_adv[grant].tolist()), math.fsum(p_leg[~grant].tolist())
 
 

@@ -76,6 +76,9 @@ def test_counting_strategies():
     assert decide(records, Policy(strategy=Strategy.any_check()), catalog).granted
     all_pass = [EvidenceRecord(factor_id=f"f{i}", decision=1) for i in range(7)]
     assert decide(all_pass, Policy(strategy=Strategy.all_checks()), catalog).granted
+    # the one pass-count rule every counting engine applies
+    strategies = (Strategy.all_checks(), Strategy.any_check(), Strategy.k_of_n(4))
+    assert [s.passes_needed(7) for s in strategies] == [7, 1, 4]
 
 
 def test_k_beyond_record_count_denies():

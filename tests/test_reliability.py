@@ -9,7 +9,7 @@ import pytest
 import authfusion.reliability as reliability
 from authfusion.catalog import DEFAULT_CATALOG
 from authfusion.errors import CapacityError, ConfigError, EvaluationError
-from authfusion.fusion import Policy, Strategy
+from authfusion.fusion import EvidenceRecord, Policy, Strategy, decide, equivalent_kofn
 from authfusion.reliability import (
     EXACT_WEIGHTED_LIMIT,
     Population,
@@ -220,6 +220,77 @@ def test_weighted_half_split_matches_numpy_enumeration(n, zeros):
         assert math.isclose(rates.frr, want_frr, rel_tol=1e-9, abs_tol=1e-300), threshold
 
 
+# float sums of these round, so a naive subset sum can tie with T in float
+# arithmetic but not under fsum, and the other way round
+NON_DYADIC = (0.05, 0.1, 0.15, 0.2, 0.3, 1 / 3, 0.4, 0.6, 0.7)
+
+
+def tie_thresholds(rng, weights):
+    # subset sums of the weights, summed naively in several orders and by fsum
+    subset = [w for w in weights if rng.random() < 0.5]
+    return (sum(weights), sum(reversed(weights)), sum(subset), sum(sorted(subset)), math.fsum(subset))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 15, 16])
+def test_weighted_half_split_matches_fsum_enumeration_at_ties(n):
+    rng = random.Random(f"ties:{n}")
+    for _ in range(12 if n <= 9 else 1):
+        pairs = [(rng.choice([0.0, 1.0, rng.random()]), rng.choice([0.0, 1.0, rng.random()])) for _ in range(n)]
+        weights = [rng.choice(NON_DYADIC) if rng.random() < 0.85 else 0.0 for _ in range(n)]
+        for threshold in tie_thresholds(rng, weights):
+            rates = compose_weighted(quints(pairs, weights), threshold)
+            want_far, want_frr = weighted_rates_numpy(pairs, weights, threshold)
+            assert math.isclose(rates.far, want_far, rel_tol=1e-9, abs_tol=1e-300), (weights, threshold)
+            assert math.isclose(rates.frr, want_frr, rel_tol=1e-9, abs_tol=1e-300), (weights, threshold)
+
+
+@pytest.mark.parametrize("weight, threshold, k", [(0.1, 1.2, 12), (1 / 3, 4.0, 13)])
+def test_equal_weights_at_a_float_tie_compose_to_the_equivalent_kofn(weight, threshold, k):
+    # n * w sums tie with T in float arithmetic for some pass counts; under
+    # fsum the rule is exactly k-of-n, with k from equivalent_kofn
+    assert equivalent_kofn(Policy(Strategy.weighted(threshold), {"f": weight}), 25) == k
+    pairs = [(0.3, 0.2)] * 25
+    rates = compose_weighted(quints(pairs, [weight] * 25), threshold)
+    counting = compose_kofn(pairs, k)
+    assert math.isclose(rates.far, counting.far, rel_tol=1e-12)
+    assert math.isclose(rates.frr, counting.frr, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("weights, threshold, granted", [
+    ((0.05, 0.1, 0.15), 0.3, False),
+    ((0.15, 0.15, 0.05), 0.35, False),
+    ((0.05, 0.3, 0.3), 0.6499999999999999, True),
+])
+def test_weighted_rates_follow_decide_when_every_factor_passes(weights, threshold, granted):
+    # every factor passes for certain, so FAR is 1 iff decide grants the
+    # all-pass evidence, for the exact and the Monte Carlo rates alike
+    factors = [replace(f, far=1.0, frr=0.0) for f in DEFAULT_CATALOG[:3]]
+    policy = Policy(Strategy.weighted(threshold), {f.id: w for f, w in zip(factors, weights)})
+    records = [EvidenceRecord(factor_id=f.id, decision=1) for f in factors]
+    assert decide(records, policy, factors).granted is granted
+    exact = compose_weighted(quints([(1.0, 0.0)] * 3, weights), threshold)
+    assert (exact.far, exact.frr) == (float(granted), float(not granted))
+    for mode in (monte_carlo_rates(factors, policy, 1000, seed=3),
+                 compose_weighted(quints([(1.0, 0.0)] * 3, weights), threshold, mode="monte-carlo", trials=1000, seed=3)):
+        assert (mode.far.value, mode.frr.value) == (float(granted), float(not granted))
+
+
+def test_weighted_above_equals_a_per_row_fsum_at_ties():
+    rng = np.random.default_rng(31)
+    float_misses = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 18))
+        weights = rng.choice(NON_DYADIC + (0.0,), n).tolist()
+        passes = rng.random((3000, n)) < rng.random(n)
+        row = passes[int(rng.integers(3000))]
+        threshold = rng.choice([sum(w for w, p in zip(weights, row) if p), sum(weights), -0.5])
+        want = np.array([math.fsum(w for w, p in zip(weights, r) if p) > threshold for r in passes.tolist()])
+        assert np.array_equal(reliability._weighted_above(passes, weights, threshold), want), (weights, threshold)
+        float_misses += int(np.count_nonzero((passes @ np.array(weights) > threshold) != want))
+    # the float estimate alone would get ties wrong, so the cases test the exact path
+    assert float_misses > 0
+
+
 def test_weighted_enumerates_each_half_once(monkeypatch):
     calls = 0
     half_outcomes = reliability._half_outcomes
@@ -268,6 +339,14 @@ def test_weighted_capacity_error_directs_to_monte_carlo():
     est = compose_weighted(entries, 3.0, mode="monte-carlo", trials=20_000, seed=9)
     assert 0.0 <= est.far.value <= 1.0
     assert est.far.half_width > 0.0
+
+
+def test_weighted_rejects_weights_whose_sum_overflows():
+    # the tie band and the exact sum both need a finite total weight
+    for rows in ([(0.1, 0.1, 1e200, 1e200, 1.0)], [(0.1, 0.1, 1.0, 1.0, 1e308)] * 2):
+        for mode in ("exact", "monte-carlo"):
+            with pytest.raises(ConfigError):
+                compose_weighted(rows, 1.0, mode=mode, trials=10)
 
 
 def test_weighted_monte_carlo_mode_matches_monte_carlo_rates():

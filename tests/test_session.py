@@ -31,9 +31,7 @@ from authfusion.session import (
     Tick,
     _build_plan,
     _combine,
-    _exact_weighted,
     _sample_shard,
-    _score_table,
     load_scenario,
     report_summary,
     report_to_csv,
@@ -848,14 +846,20 @@ def test_sampled_passes_equal_a_per_session_threshold_matrix(fraction):
     assert np.array_equal(passes, u < np.where(adv[:, None], far, legit))
 
 
-@pytest.mark.parametrize("cols", [13, 16])
-def test_exact_weighted_equals_the_int64_matmul_index(cols):
-    rng = np.random.default_rng(cols)
-    passes = rng.random((4000, cols)) < 0.5
-    weights = tuple(rng.uniform(0.1, 2.0, cols).tolist())
-    powers = 1 << np.arange(cols, dtype=np.int64)
-    want = _score_table(weights)[passes.astype(np.int64) @ powers]
-    assert np.array_equal(_exact_weighted(passes, weights), want)
+def test_weighted_tally_over_more_than_16_firings_matches_the_machine():
+    # two copies of the catalog, every weight 0.1 at T = 1.2 and t_basic =
+    # 0.3: decide grants at 12 passes (fsum of twelve 0.1 is above 1.2) and
+    # Basic at 4, so many sessions sit on a float tie at either point
+    catalog = [replace(f, id=f"{f.id}_{i}", far=0.45, frr=0.55) for i in range(2) for f in DEFAULT_CATALOG]
+    policy = Policy(Strategy.weighted(1.2), {f.id: 0.1 for f in catalog})
+    scenario = Scenario(adversary_fraction=0.3, config=SessionConfig(t_basic=0.3))
+    machine, plan, (adversary, passes, first) = _reference(scenario, policy, 1500, 61, catalog)
+    assert len(plan.pre + plan.active) >= 17 and len(plan.decision.cols) >= 17
+    counts = passes[:, list(plan.decision.cols)].sum(axis=1)
+    assert (counts == 12).any() and (counts == 11).any()
+    report = run_simulation(scenario, catalog, policy, trials=1500, seed=61)
+    assert report == _machine_report(scenario, policy, 1500, 61, catalog)
+    assert 0 < report.full_grants < report.sessions_run
 
 
 def test_context_change_runs_on_the_machine_engine():
