@@ -846,6 +846,26 @@ def test_sampled_passes_equal_a_per_session_threshold_matrix(fraction):
     assert np.array_equal(passes, u < np.where(adv[:, None], far, legit))
 
 
+@pytest.mark.parametrize("cols", [13, 16])
+def test_exact_weighted_equals_the_int64_matmul_index(cols):
+    # the weighted grant rule against a table of exactly rounded subset sums,
+    # one per pass mask, indexed by the int64 matmul; thresholds are scores
+    # the plain float sum rounds differently, so rows sit on exact ties that
+    # only fsum settles, and their float neighbours sit just off them
+    rng = np.random.default_rng(cols)
+    passes = rng.random((4000, cols)) < 0.5
+    weights = tuple(rng.uniform(0.1, 2.0, cols).tolist())
+    table = np.array([math.fsum(w for j, w in enumerate(weights) if mask >> j & 1) for mask in range(1 << cols)])
+    scores = table[passes.astype(np.int64) @ (1 << np.arange(cols, dtype=np.int64))]
+    rounded_apart = np.flatnonzero(passes @ np.asarray(weights) != scores)
+    assert len(rounded_apart) >= 3
+    for t in scores[rounded_apart[:3]].tolist():
+        for threshold in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+            want = scores > threshold
+            assert np.array_equal(reliability._weighted_above(passes, weights, threshold), want), threshold
+            assert want.any() and not want.all()
+
+
 def test_weighted_tally_over_more_than_16_firings_matches_the_machine():
     # two copies of the catalog, every weight 0.1 at T = 1.2 and t_basic =
     # 0.3: decide grants at 12 passes (fsum of twelve 0.1 is above 1.2) and
