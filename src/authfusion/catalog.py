@@ -174,12 +174,9 @@ class Factor:
             raise ConfigError("factor id must be non-empty", field="id")
         if not self.category:
             raise ConfigError("category set must be non-empty", field=f"{self.id}.category")
-        if not 0.0 <= self.far <= 1.0:
-            raise ConfigError("far must lie in [0, 1]", field=f"{self.id}.far")
-        if not 0.0 <= self.frr <= 1.0:
-            raise ConfigError("frr must lie in [0, 1]", field=f"{self.id}.frr")
-        if not 0.0 < self.vendor_accuracy <= 1.0:
-            raise ConfigError("vendor_accuracy must lie in (0, 1]", field=f"{self.id}.vendor_accuracy")
+        configio.unit_interval(self.far, self.id, "far")
+        configio.unit_interval(self.frr, self.id, "frr")
+        configio.positive_fraction(self.vendor_accuracy, self.id, "vendor_accuracy")
         if not self.phases:
             raise ConfigError("phases must be non-empty", field=f"{self.id}.phases")
         if self.action is ActionMode.PASSIVE and not self.phases & {
@@ -280,15 +277,8 @@ def load_catalog(source: str) -> list[Factor]:
     factors = [_parse_factor(entry) for entry in root.items("factors")]
     if not factors:
         raise root.error("factors", "catalog declares no factors")
-    seen: set[str] = set()
-    for i, factor in enumerate(factors):
-        if factor.id in seen:
-            raise ConfigError(
-                f"duplicate factor id '{factor.id}'",
-                field=f"factors[{i}].id",
-                line=lines.get(("factors", i, "id")),
-            )
-        seen.add(factor.id)
+    with root.checking():
+        catalog_index(factors)
     return factors
 
 
@@ -306,7 +296,7 @@ def _parse_factor(sec: configio.Section) -> Factor:
     duration = _parse_duration(sec)
     phases = _parse_phases(sec, action)
     caps = _parse_capabilities(sec.section("capabilities"))
-    try:
+    with sec.checking():
         return Factor(
             id=fid,
             name=sec.get("name", str, fid),
@@ -319,11 +309,6 @@ def _parse_factor(sec: configio.Section) -> Factor:
             capabilities=caps,
             phases=phases,
         )
-    except ConfigError as exc:
-        if exc.line is not None:
-            raise
-        # Re-anchor value validation onto this file entry for a precise report.
-        raise sec.error(None, str(exc)) from exc
 
 
 def _parse_enum(sec: configio.Section, key: str, enum_cls) -> Any:
@@ -363,10 +348,8 @@ def _parse_duration(sec: configio.Section) -> DurationClass:
     dsec.reject_unknown({"band", "seconds"})
     band = _parse_enum(dsec, "band", DurationBand)
     seconds = float(dsec.get("seconds", float, REPRESENTATIVE_SECONDS[band]))
-    try:
+    with dsec.checking():
         return DurationClass(band, seconds)
-    except ConfigError as exc:
-        raise dsec.error("seconds", str(exc)) from exc
 
 
 def _parse_phases(sec: configio.Section, action: ActionMode) -> frozenset[SessionPhase]:
@@ -426,9 +409,9 @@ def catalog_to_yaml(factors: Sequence[Factor]) -> str:
 
 def catalog_index(factors: Iterable[Factor]) -> dict[str, Factor]:
     out: dict[str, Factor] = {}
-    for f in factors:
+    for i, f in enumerate(factors):
         if f.id in out:
-            raise ConfigError(f"duplicate factor id '{f.id}'", field=f.id)
+            raise ConfigError(f"duplicate factor id '{f.id}'", field=f"factors[{i}].id")
         out[f.id] = f
     return out
 

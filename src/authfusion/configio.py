@@ -7,8 +7,10 @@ key and list item, so validation errors can point at the offending spot.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import yaml
 
@@ -27,6 +29,35 @@ def dotted(path: tuple) -> str:
         else:
             out += ("." if out else "") + str(part)
     return out or "<document>"
+
+
+# One check per value rule. Each takes the value and the key path of the
+# field it fills, and renders that path only when the value breaks the rule.
+
+
+def unit_interval(value: float, *path) -> None:
+    """Probabilities, trust and likelihoods lie in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"must lie in [0, 1], got {value!r}", field=dotted(path))
+
+
+def positive_fraction(value: float, *path) -> None:
+    """Accuracy and penalty multipliers lie in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"must lie in (0, 1], got {value!r}", field=dotted(path))
+
+
+def non_negative(value: float, *path) -> None:
+    """Weights, thresholds and times are finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"must be finite and non-negative, got {value!r}", field=dotted(path))
+
+
+def finite_sum(values: Iterable[float], *path) -> None:
+    """A set of weights has a finite float sum; math.fsum is no test of
+    that, since it raises OverflowError where the sum overflows."""
+    if not math.isfinite(sum(values)):
+        raise ConfigError("sum of weights must be finite", field=dotted(path))
 
 
 def read_text(path: str | Path) -> str:
@@ -132,6 +163,22 @@ class Section:
             Section(entry, self.lines, self.path + (key, i), what=f"{key}[{i}]")
             for i, entry in enumerate(value)
         ]
+
+    @contextmanager
+    def checking(self) -> Iterator[None]:
+        """Place a ConfigError raised inside, by an object checking values
+        read from this section, at the line of the key its field names: a
+        key path from the document root, else its last part as a key of
+        this section, else this section itself."""
+        try:
+            yield
+        except ConfigError as exc:
+            if exc.line is not None:
+                raise
+            name = exc.field or ""
+            keys = {dotted(path): line for path, line in self.lines.items()}
+            line = keys.get(name) or self.lines.get(self.path + (name.rpartition(".")[2],))
+            raise ConfigError(exc.message, field=exc.field, line=line or self.lines.get(self.path)) from exc
 
     def reject_unknown(self, known: set[str]) -> None:
         for key in self.data:

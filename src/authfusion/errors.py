@@ -16,6 +16,7 @@ class ConfigError(AuthFusionError):
     """
 
     def __init__(self, message: str, *, field: str | None = None, line: int | None = None):
+        self.message = message
         self.field = field
         self.line = line
         full = message

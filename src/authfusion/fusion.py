@@ -46,8 +46,9 @@ class Strategy:
         elif self.k is not None:
             raise ConfigError(f"k is only meaningful for kofn, not {self.kind.value}", field="strategy.k")
         if self.kind is StrategyKind.WEIGHTED:
-            if self.threshold is None or not math.isfinite(self.threshold) or self.threshold < 0:
-                raise ConfigError("threshold must be a finite non-negative number", field="strategy.threshold")
+            if self.threshold is None:
+                raise ConfigError("weighted needs a threshold", field="strategy.threshold")
+            configio.non_negative(self.threshold, "strategy", "threshold")
         elif self.threshold is not None:
             raise ConfigError(
                 f"threshold is only meaningful for weighted, not {self.kind.value}",
@@ -94,8 +95,8 @@ class Policy:
         for fid, phi in self.weights.items():
             if not isinstance(phi, (int, float)) or isinstance(phi, bool):
                 raise ConfigError("weight must be a number", field=f"weights.{fid}")
-            if not math.isfinite(phi) or phi < 0:
-                raise ConfigError("weight must be finite and non-negative", field=f"weights.{fid}")
+            configio.non_negative(phi, "weights", fid)
+        configio.finite_sum(self.weights.values(), "weights")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     def with_weights(self, weights: Mapping[str, float]) -> "Policy":
@@ -121,10 +122,9 @@ class EvidenceRecord:
         if self.decision not in (0, 1):
             raise ConfigError("decision must be 0 or 1", field=f"{self.factor_id}.decision")
         object.__setattr__(self, "decision", int(self.decision))
-        if self.likelihood is not None and not 0.0 <= self.likelihood <= 1.0:
-            raise ConfigError("likelihood must lie in [0, 1]", field=f"{self.factor_id}.likelihood")
-        if not 0.0 <= self.trust <= 1.0:
-            raise ConfigError("trust must lie in [0, 1]", field=f"{self.factor_id}.trust")
+        if self.likelihood is not None:
+            configio.unit_interval(self.likelihood, self.factor_id, "likelihood")
+        configio.unit_interval(self.trust, self.factor_id, "trust")
         if not math.isfinite(self.observed_at):
             raise ConfigError("observed_at must be finite", field=f"{self.factor_id}.observed_at")
 
@@ -242,35 +242,18 @@ def load_policy(source: str) -> Policy:
         valid = ", ".join(s.value for s in StrategyKind)
         raise root.error("strategy", f"'{tag}' is not one of: {valid}") from None
 
-    if kind is StrategyKind.KOFN:
-        k = root.require("k", int)
-        if k < 1:
-            raise root.error("k", "must be at least 1")
-        strategy = Strategy.k_of_n(k)
-    elif "k" in root.data:
-        raise root.error("k", f"only meaningful for kofn, not {tag}")
-    elif kind is StrategyKind.WEIGHTED:
-        threshold = float(root.require("threshold", float))
-        if not math.isfinite(threshold) or threshold < 0:
-            raise root.error("threshold", "must be finite and non-negative")
-        strategy = Strategy.weighted(threshold)
-    else:
-        strategy = Strategy(kind)
-    if kind is not StrategyKind.WEIGHTED and "threshold" in root.data:
-        raise root.error("threshold", f"only meaningful for weighted, not {tag}")
-
+    k = root.require("k", int) if kind is StrategyKind.KOFN else root.get("k", int)
+    weighted = kind is StrategyKind.WEIGHTED
+    threshold = root.require("threshold", float) if weighted else root.get("threshold", float)
     weights: dict[str, float] = {}
-    wsec = root.section("weights", required=kind is StrategyKind.WEIGHTED)
+    wsec = root.section("weights", required=weighted)
     if wsec is not None:
-        for fid in wsec.data:
-            phi = wsec.require(fid, float)
-            if not math.isfinite(phi) or phi < 0:
-                raise wsec.error(fid, "weight must be finite and non-negative")
-            weights[fid] = float(phi)
+        weights = {fid: float(wsec.require(fid, float)) for fid in wsec.data}
         if not weights:
             raise root.error("weights", "weights map must not be empty")
-
-    return Policy(strategy=strategy, weights=weights, use_likelihood=bool(root.get("use_likelihood", bool, False)))
+    with root.checking():
+        strategy = Strategy(kind, k=k, threshold=None if threshold is None else float(threshold))
+        return Policy(strategy, weights, use_likelihood=bool(root.get("use_likelihood", bool, False)))
 
 
 def load_evidence(source: str) -> list[EvidenceRecord]:
@@ -282,26 +265,17 @@ def load_evidence(source: str) -> list[EvidenceRecord]:
     records = []
     for sec in root.items("records"):
         sec.reject_unknown({"factor_id", "decision", "likelihood", "trust", "observed_at"})
-        raw = sec.require("decision")
-        if isinstance(raw, bool):
-            decision = int(raw)
-        elif isinstance(raw, int) and raw in (0, 1):
-            decision = raw
-        else:
-            raise sec.error("decision", "must be 0, 1, or a boolean")
         likelihood = sec.get("likelihood", float)
-        try:
+        with sec.checking():
             records.append(
                 EvidenceRecord(
                     factor_id=sec.require("factor_id", str),
-                    decision=decision,
+                    decision=sec.require("decision"),
                     likelihood=None if likelihood is None else float(likelihood),
                     trust=float(sec.get("trust", float, 1.0)),
                     observed_at=float(sec.get("observed_at", float, 0.0)),
                 )
             )
-        except ConfigError as exc:
-            raise sec.error(None, str(exc)) from exc
     if not records:
         raise root.error("records", "evidence declares no records")
     return records

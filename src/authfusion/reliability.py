@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import configio
 from .errors import CapacityError, ConfigError, EvaluationError
 from .fusion import Policy, StrategyKind
 
@@ -107,9 +108,8 @@ def pass_count_distribution(pass_probs: Sequence[float], population: Population)
 
     Exact dynamic programming: convolve one Bernoulli at a time.
     """
-    for p in pass_probs:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"pass probability {p!r} outside [0, 1]")
+    for i, p in enumerate(pass_probs):
+        configio.unit_interval(p, "pass_probs", i)
     probs = _pass_counts([(p, 1.0 - p) for p in pass_probs])
     return PassCountDistribution(probs=tuple(probs), population=population)
 
@@ -118,10 +118,8 @@ def _validate_pairs(pairs: Sequence[tuple[float, float]]) -> None:
     if not pairs:
         raise EvaluationError("factor list must be non-empty")
     for i, (far, frr) in enumerate(pairs):
-        if not 0.0 <= far <= 1.0:
-            raise ConfigError(f"far {far!r} outside [0, 1]", field=f"factors[{i}].far")
-        if not 0.0 <= frr <= 1.0:
-            raise ConfigError(f"frr {frr!r} outside [0, 1]", field=f"factors[{i}].frr")
+        configio.unit_interval(far, "factors", i, "far")
+        configio.unit_interval(frr, "factors", i, "frr")
 
 
 def _floored(value: float, possible: bool) -> tuple[float, bool]:
@@ -139,6 +137,20 @@ def compose_all(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
     """Pass-all fusion: an adversary must fool every check, a legitimate
     user fails if any single check fails."""
     _validate_pairs(pairs)
+    return _all_rates(pairs)
+
+
+def compose_any(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
+    """Pass-any fusion. Exact dual of compose_all with the error roles
+    swapped, and implemented that way so the duality holds bit for bit."""
+    _validate_pairs(pairs)
+    return _any_rates(pairs)
+
+
+# the compositions proper, for callers that validated their pairs already
+
+
+def _all_rates(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
     far = math.prod(far for far, _ in pairs)
     # P(some check fails), partitioned by the first failing factor; summing
     # the disjoint masses directly avoids the 1 - prod(1 - frr) round trip,
@@ -155,11 +167,8 @@ def compose_all(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
-def compose_any(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
-    """Pass-any fusion. Exact dual of compose_all with the error roles
-    swapped, and implemented that way so the duality holds bit for bit."""
-    swapped = [(frr, far) for far, frr in pairs]
-    inner = compose_all(swapped)
+def _any_rates(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
+    inner = _all_rates([(frr, far) for far, frr in pairs])
     return CompositeRates(
         far=inner.frr,
         frr=inner.far,
@@ -190,9 +199,9 @@ def _kofn_boundary(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRat
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
         raise ConfigError(f"k must be an integer in [1, {n}]", field="k")
     if k == n:
-        return compose_all(pairs)
+        return _all_rates(pairs)
     if k == 1:
-        return compose_any(pairs)
+        return _any_rates(pairs)
     return None
 
 
@@ -316,26 +325,22 @@ def compose_weighted(
     score is the fsum-rounded sum, and every engine (decide, the simulator,
     Monte Carlo and this) grants iff it is > T, so ties deny everywhere.
 
-    factors are (far, frr, mu, tau, phi) tuples. Exact mode enumerates all
-    outcome vectors and is capped at n=25; past that, pass
-    mode="monte-carlo" to get a seeded MonteCarloRates estimate instead.
+    factors are (far, frr, mu, tau, phi) tuples; mu, tau and phi follow the
+    rules of Factor.vendor_accuracy, EvidenceRecord.trust and Policy weights.
+    Exact mode enumerates all outcome vectors and is capped at n=25; past
+    that, pass mode="monte-carlo" to get a seeded MonteCarloRates estimate.
     """
-    if not factors:
-        raise EvaluationError("factor list must be non-empty")
     if not math.isfinite(threshold):
         raise ConfigError("threshold must be finite", field="threshold")
     weights = []
     pairs = []
     for i, (far, frr, mu, tau, phi) in enumerate(factors):
         pairs.append((far, frr))
-        for name, value in (("mu", mu), ("tau", tau), ("phi", phi)):
-            if not math.isfinite(value) or value < 0.0:
-                raise ConfigError(
-                    f"{name} must be finite and non-negative", field=f"factors[{i}].{name}"
-                )
+        configio.positive_fraction(mu, "factors", i, "mu")
+        configio.unit_interval(tau, "factors", i, "tau")
+        configio.non_negative(phi, "factors", i, "phi")
         weights.append(mu * tau * phi)
-    if not math.isfinite(sum(weights)):
-        raise ConfigError("the weights mu*tau*phi must have a finite sum", field="factors")
+    configio.finite_sum(weights, "factors")
     _validate_pairs(pairs)
 
     if mode == "monte-carlo":
@@ -456,7 +461,9 @@ def monte_carlo_rates(
         for f in factors:
             if f.id not in policy.weights:
                 raise ConfigError(f"policy assigns no weight to factor '{f.id}'", field=f.id)
-            weights.append(f.vendor_accuracy * trust.get(f.id, 1.0) * policy.weights[f.id])
+            tau = trust.get(f.id, 1.0)
+            configio.unit_interval(tau, "trust", f.id)
+            weights.append(f.vendor_accuracy * tau * policy.weights[f.id])
         grant = lambda passes: _weighted_above(passes, weights, strategy.threshold)
     else:
         if strategy.kind is StrategyKind.KOFN and strategy.k > len(factors):
@@ -529,11 +536,11 @@ def sweep(
         pairs = [(far, frr)] * n
         for name in sorted(set(strategies)):
             if name == "all":
-                k_eff, rates = n, compose_all(pairs)
+                k_eff, rates = n, _all_rates(pairs)
                 log_far = _log10_rate(rates.far, [far] * n)
                 log_frr = _log10_rate(rates.frr)
             elif name == "any":
-                k_eff, rates = 1, compose_any(pairs)
+                k_eff, rates = 1, _any_rates(pairs)
                 log_far = _log10_rate(rates.far)
                 log_frr = _log10_rate(rates.frr, [frr] * n)
             else:

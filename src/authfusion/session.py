@@ -27,12 +27,12 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import configio
-from .catalog import ActionMode, Factor, gate_factors
+from .catalog import ActionMode, Factor, catalog_index, gate_factors
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
 from .fusion import EvidenceRecord, Policy, StrategyKind, decide
@@ -94,8 +94,8 @@ class MonitorConfig:
     false_alarm: float = 0.01
 
     def __post_init__(self):
-        if not self.window > 0.0:
-            raise ConfigError("window must be positive", field="monitor.window")
+        if not 0.0 < self.window < math.inf:
+            raise ConfigError("window must be finite and positive", field="monitor.window")
         if not 0.0 < self.detection_accuracy < 1.0:
             raise ConfigError("detection_accuracy must lie in (0, 1)", field="monitor.detection_accuracy")
         if not 0.0 <= self.false_alarm < 1.0:
@@ -140,10 +140,9 @@ class SessionConfig:
     usability_budget: float = 2.0
 
     def __post_init__(self):
-        if self.t_basic is not None and self.t_basic < 0.0:
-            raise ConfigError("t_basic must be non-negative", field="session.t_basic")
-        if self.staleness_horizon < 0.0:
-            raise ConfigError("staleness_horizon must be non-negative", field="session.staleness_horizon")
+        if self.t_basic is not None:
+            configio.non_negative(self.t_basic, "session", "t_basic")
+        configio.non_negative(self.staleness_horizon, "session", "staleness_horizon")
         if self.monitoring_horizon is not None and not self.monitoring_horizon > 0.0:
             raise ConfigError("monitoring_horizon must be positive", field="session.monitoring_horizon")
         if not self.usability_budget > 0.0:
@@ -204,9 +203,7 @@ class SessionMachine:
         rules: Sequence[ContextRule] = DEFAULT_CONTEXT_RULES,
     ):
         self._catalog = list(catalog)
-        self._index = {f.id: f for f in self._catalog}
-        if len(self._index) != len(self._catalog):
-            raise ConfigError("catalog contains duplicate factor ids")
+        self._index = catalog_index(self._catalog)
         self._policy = policy
         self._ctx = ctx if ctx is not None else ContextState.nominal()
         self._config = config if config is not None else SessionConfig()
@@ -456,18 +453,27 @@ class Scenario:
         return ContextState(conditions=dict(self.conditions))
 
 
-def _change_time_problems(times: Iterable[float]) -> Iterator[tuple[int, str]]:
-    """(index, message) for each time that breaks the rule "finite, >= 0 and
-    non-decreasing". The plan applies changes in list order, so a time that
-    breaks it would hold back every change listed after it."""
+def _value_problems(scenario: Scenario) -> Iterator[tuple[tuple, str]]:
+    """(key path, message) for each scenario value that breaks its rule:
+    adversary_fraction and each trust value lie in [0, 1], and change
+    times are finite, >= 0 and non-decreasing. The plan applies changes in
+    list order, so a time that breaks it would hold back every change
+    listed after it."""
+    for path, value in [(("adversary_fraction",), scenario.adversary_fraction),
+                        *((("trust", fid), tau) for fid, tau in scenario.trust.items())]:
+        try:
+            configio.unit_interval(value, *path)
+        except ConfigError as exc:
+            yield path, exc.message
     latest = 0.0
-    for i, at in enumerate(times):
+    for i, (at, _) in enumerate(scenario.context_changes):
+        path = ("context", "changes", i, "at")
         if not math.isfinite(at):
-            yield i, f"context change at t={at} is not a finite time"
+            yield path, f"context change at t={at} is not a finite time"
         elif at < 0.0:
-            yield i, f"context change at t={at} precedes the session start"
+            yield path, f"context change at t={at} precedes the session start"
         elif at < latest:
-            yield i, f"context change at t={at} comes before the change at t={latest}; change times must be non-decreasing"
+            yield path, f"context change at t={at} comes before the change at t={latest}; change times must be non-decreasing"
         else:
             latest = at
 
@@ -484,9 +490,6 @@ def load_scenario(source: str) -> Scenario:
             "policy_path", "catalog_path",
         }
     )
-    fraction = float(root.get("adversary_fraction", float, 0.0))
-    if not 0.0 <= fraction <= 1.0:
-        raise root.error("adversary_fraction", "must lie in [0, 1]")
 
     factors = None
     if "factors" in root.data:
@@ -495,14 +498,8 @@ def load_scenario(source: str) -> Scenario:
             raise root.error("factors", "must be a list of factor ids")
         factors = tuple(raw)
 
-    trust = {}
     tsec = root.section("trust")
-    if tsec is not None:
-        for fid in tsec.data:
-            value = float(tsec.require(fid, float))
-            if not 0.0 <= value <= 1.0:
-                raise tsec.error(fid, "trust must lie in [0, 1]")
-            trust[fid] = value
+    trust = {} if tsec is None else {fid: float(tsec.require(fid, float)) for fid in tsec.data}
 
     conditions: dict[str, Any] = {}
     changes: list[tuple[float, dict[str, Any]]] = []
@@ -512,20 +509,17 @@ def load_scenario(source: str) -> Scenario:
         isec = csec.section("initial")
         if isec is not None:
             conditions = dict(isec.data)
-        entries = csec.items("changes") if "changes" in csec.data else []
-        for entry in entries:
+        for entry in csec.items("changes") if "changes" in csec.data else []:
             entry.reject_unknown({"at", "set"})
             at = float(entry.require("at", float))
             setsec = entry.section("set", required=True)
             changes.append((at, dict(setsec.data)))
-        for i, message in _change_time_problems(at for at, _ in changes):
-            raise entries[i].error("at", message)  # the first problem, at its line
 
     monitor = MonitorConfig()
     msec = root.section("monitor")
     if msec is not None:
         msec.reject_unknown({"window", "detection_accuracy", "check_interval", "false_alarm"})
-        try:
+        with msec.checking():
             monitor = MonitorConfig(
                 window=float(msec.get("window", float, 150.0)),
                 detection_accuracy=float(msec.get("detection_accuracy", float, 0.95)),
@@ -534,14 +528,12 @@ def load_scenario(source: str) -> Scenario:
                 ),
                 false_alarm=float(msec.get("false_alarm", float, 0.01)),
             )
-        except ConfigError as exc:
-            raise msec.error(None, str(exc)) from exc
 
     config = SessionConfig(monitor=monitor)
     ssec = root.section("session")
     if ssec is not None:
         ssec.reject_unknown({"t_basic", "staleness_horizon", "monitoring_horizon", "usability_budget"})
-        try:
+        with ssec.checking():
             config = SessionConfig(
                 t_basic=(float(ssec.require("t_basic", float)) if "t_basic" in ssec.data else None),
                 staleness_horizon=float(ssec.get("staleness_horizon", float, 300.0)),
@@ -553,12 +545,10 @@ def load_scenario(source: str) -> Scenario:
                 ),
                 usability_budget=float(ssec.get("usability_budget", float, 2.0)),
             )
-        except ConfigError as exc:
-            raise ssec.error(None, str(exc)) from exc
 
-    return Scenario(
+    scenario = Scenario(
         name=root.get("name", str, "scenario"),
-        adversary_fraction=fraction,
+        adversary_fraction=float(root.get("adversary_fraction", float, 0.0)),
         takeover=bool(root.get("takeover", bool, False)),
         factors=factors,
         trust=trust,
@@ -569,14 +559,15 @@ def load_scenario(source: str) -> Scenario:
         policy_path=root.get("policy_path", str),
         catalog_path=root.get("catalog_path", str),
     )
+    for path, message in _value_problems(scenario):
+        raise ConfigError(message, field=configio.dotted(path), line=lines.get(path))  # the first, at its line
+    return scenario
 
 
 def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> list[str]:
     """Every problem found, as messages; empty means runnable."""
-    problems: list[str] = []
+    problems = [f"{message} ({configio.dotted(path)})" for path, message in _value_problems(scenario)]
     ids = {f.id for f in catalog}
-    if not 0.0 <= scenario.adversary_fraction <= 1.0:
-        problems.append(f"adversary_fraction {scenario.adversary_fraction} outside [0, 1]")
     if scenario.factors is not None:
         if not scenario.factors:
             problems.append("factors list is empty")
@@ -601,7 +592,6 @@ def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Pol
         for fid in scenario.factors or ():
             if fid in ids and fid not in policy.weights:
                 problems.append(f"policy assigns no weight to scenario factor '{fid}'")
-    problems.extend(message for _, message in _change_time_problems(at for at, _ in scenario.context_changes))
     try:
         SessionMachine(catalog, policy, ctx=scenario.initial_context(), config=scenario.config)
     except AuthFusionError as exc:

@@ -59,9 +59,7 @@ class TrustModel:
         for cls in SourceClass:
             if cls not in self.levels:
                 raise ConfigError(f"trust level missing for class '{cls.value}'", field=f"levels.{cls.value}")
-            level = self.levels[cls]
-            if not 0.0 <= level <= 1.0:
-                raise ConfigError("trust level must lie in [0, 1]", field=f"levels.{cls.value}")
+            configio.unit_interval(self.levels[cls], "levels", cls.value)
         if self.promotion_threshold < 1:
             raise ConfigError("promotion_threshold must be at least 1", field="promotion_threshold")
         object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
@@ -78,8 +76,7 @@ class TrustAssignment:
     interactions_seen: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise ConfigError("trust level must lie in [0, 1]", field=f"{self.source_id}.level")
+        configio.unit_interval(self.level, self.source_id, "level")
         if self.interactions_seen < 0:
             raise ConfigError("interactions_seen must be non-negative", field=f"{self.source_id}.interactions_seen")
 
@@ -96,8 +93,6 @@ def assign_trust(
     stranger seen in at least model.promotion_threshold of them is treated
     as familiar from then on.
     """
-    if history < 0:
-        raise ConfigError("history must be non-negative", field="history")
     effective = source_class
     if source_class is SourceClass.STRANGER and history >= model.promotion_threshold:
         effective = SourceClass.FAMILIAR
@@ -123,10 +118,8 @@ def parse_trust_model(sec: configio.Section) -> TrustModel:
                 raise lsec.error(key, f"'{key}' is not one of: {valid}") from None
             levels[cls] = float(lsec.require(key, float))
     threshold = sec.get("promotion_threshold", int, PROMOTION_THRESHOLD)
-    try:
+    with sec.checking():
         return TrustModel(levels=levels, promotion_threshold=threshold)
-    except ConfigError as exc:
-        raise sec.error(None, str(exc)) from exc
 
 
 def load_trust_model(source: str) -> TrustModel:
@@ -252,8 +245,7 @@ def effective_weights(
     contexts. Weighted policies must assign a weight to every catalog
     factor; counting policies default each factor to weight 1.
     """
-    if not 0.0 < penalty <= 1.0:
-        raise ConfigError("penalty must lie in (0, 1]", field="penalty")
+    configio.positive_fraction(penalty, "penalty")
     if policy.strategy.kind is StrategyKind.WEIGHTED:
         configured = {}
         for f in catalog:

@@ -3,7 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
+import pytest
+
+import authfusion
 from authfusion.catalog import DEFAULT_CATALOG, catalog_to_yaml
 from authfusion.cli import EXIT_CONFIG, EXIT_DENY, EXIT_IO, EXIT_OK, main
 from authfusion.reliability import SWEEP_CSV_HEADER
@@ -318,3 +324,29 @@ def test_simulate_runs_a_million_check_schedule(tmp_path, capsys):
     rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[2:])
     assert int(rows["revocations"]) == int(rows["full_grants"]) > 0
     assert int(rows["firings[continuous_monitoring][token]"]) > 0
+
+
+
+OVERFLOWING_POLICY = WEIGHTED_POLICY.replace("1.0\n  facial: 1.0", "1.0e+308\n  facial: 1.0e+308")
+
+
+@pytest.mark.parametrize("command, bad, field, line", [
+    # each weight passes alone, but their sum overflows once both factors pass
+    ("decide", OVERFLOWING_POLICY, "weights", 4),
+    ("simulate", SCENARIO + "trust:\n  pin_code: 5.0\n", "trust.pin_code", 6),
+    ("simulate", SCENARIO + "session:\n  t_basic: .nan\n", "session.t_basic", 6),
+    ("simulate", SCENARIO + "monitor:\n  window: .inf\n", "monitor.window", 6),
+])
+def test_values_outside_their_rule_exit_2_at_field_and_line(tmp_path, command, bad, field, line):
+    bad = write(tmp_path, "bad.yaml", bad)
+    if command == "decide":
+        args = ["--policy", bad, "--evidence", write(tmp_path, "evidence.yaml", EVIDENCE.replace("decision: 0", "decision: 1"))]
+    else:
+        args = ["--scenario", bad, "--policy", write(tmp_path, "policy.yaml", WEIGHTED_POLICY), "--trials", "10"]
+    src = os.path.dirname(os.path.dirname(authfusion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "authfusion.cli", command, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"line {line}: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -143,6 +143,13 @@ def test_strategy_validation():
         Policy(strategy=Strategy.weighted(1.0), weights={"a": -0.5})
 
 
+def test_policy_rejects_weights_whose_sum_overflows():
+    # each weight is finite, but decide's fsum of both would raise OverflowError
+    with pytest.raises(ConfigError, match="weights: sum of weights must be finite"):
+        Policy(Strategy.weighted(1.0), {"a": 1e308, "b": 1e308})
+    assert Policy(Strategy.weighted(1.0), {"a": 1e308, "b": 1e307}).weights["a"] == 1e308
+
+
 def test_evidence_record_validation():
     with pytest.raises(ConfigError):
         EvidenceRecord(factor_id="a", decision=2)

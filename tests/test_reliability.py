@@ -92,6 +92,14 @@ def test_rates_out_of_range_rejected():
         compose_kofn([(0.1, -0.2)], 1)
 
 
+def test_out_of_range_errors_name_the_rate_as_given():
+    # compose_any swaps the roles internally, but checks the pairs as passed
+    for fn in (compose_all, compose_any, lambda pairs: compose_kofn(pairs, 1)):
+        with pytest.raises(ConfigError) as err:
+            fn([(0.1, 0.2), (0.1, 1.5)])
+        assert err.value.field == "factors[1].frr"
+
+
 def test_kofn_k_out_of_range():
     pairs = random_pairs(random.Random(1), 4)
     for bad in (0, 5, -1):
@@ -365,6 +373,12 @@ def test_weighted_monte_carlo_mode_matches_monte_carlo_rates():
         via_rates = monte_carlo_rates(factors, policy, trials, seed=21, trust=tau, workers=workers)
         assert via_compose == via_rates
         assert via_compose.far.events > 0 and via_compose.frr.events > 0
+    # and both hold tau to EvidenceRecord's rule, [0, 1]
+    for bad in (math.inf, math.nan, 5.0):
+        with pytest.raises(ConfigError, match="trust"):
+            monte_carlo_rates(factors, policy, 1000, seed=21, trust={factors[3].id: bad})
+        with pytest.raises(ConfigError, match="tau"):
+            compose_weighted([(*e[:3], bad, e[4]) for e in entries], 1.7, mode="monte-carlo", trials=1000)
 
 
 def test_weighted_tie_mass_goes_to_deny():

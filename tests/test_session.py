@@ -571,6 +571,21 @@ def test_validate_scenario_checks_the_machine_builds():
     assert any("t_basic" in p for p in problems)
 
 
+def test_values_built_in_code_meet_the_loaders_rules():
+    # a trust above 1 would let a factor count for more than a pass, raising the full grants
+    scenario = Scenario(factors=("token", "facial", "pin_code"), trust={"pin_code": 5.0})
+    assert validate_scenario(scenario, DEFAULT_CATALOG, W_POLICY) == ["must lie in [0, 1], got 5.0 (trust.pin_code)"]
+    with pytest.raises(ConfigError, match="scenario invalid"):
+        run_simulation(scenario, DEFAULT_CATALOG, W_POLICY, 10, seed=1)
+    # a NaN t_basic lets no session reach Basic; an infinite window gives NaN per-check rates
+    for build, field in ((lambda: SessionConfig(t_basic=math.nan), "session.t_basic"),
+                         (lambda: SessionConfig(staleness_horizon=math.inf), "session.staleness_horizon"),
+                         (lambda: MonitorConfig(window=math.inf), "monitor.window")):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.field == field
+
+
 def test_validate_scenario_clean():
     sc = Scenario(factors=("token", "facial", "pin_code"), trust={"token": 0.8})
     assert validate_scenario(sc, DEFAULT_CATALOG, W_POLICY) == []

@@ -2,8 +2,9 @@
 
 Runs `bench/run.py` once per workload that BENCHMARK.json declares, one
 after another, at a fixed seed and duration so that snapshots compare, and
-writes the environment (python and numpy versions, core count) and each
-workload's correct/attempted/failed counts and end-to-end metrics:
+writes the environment (python and numpy versions, core count), each
+workload's correct/attempted/failed counts and end-to-end metrics, and
+src_lines, the `wc -l` total over src/authfusion/*.py:
 
     python3 tools/bench_record.py 7                 # writes BENCH_7.json
 """
@@ -38,6 +39,11 @@ def run_workload(workload: str) -> dict:
     return json.loads(lines[-1])
 
 
+def src_lines() -> int:
+    """Lines in the package source, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "authfusion").glob("*.py"))
+
+
 def record() -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
@@ -59,6 +65,7 @@ def record() -> dict:
             "cpu_count": os.cpu_count(),
         },
         "workloads": workloads,
+        "src_lines": src_lines(),
     }
 
 
