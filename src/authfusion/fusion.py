@@ -198,12 +198,15 @@ def equivalent_kofn(policy: Policy, n: int, mu: float = 1.0, tau: float = 1.0) -
     k = smallest integer with k*w > T. Returns that k, or None when the
     products differ, exceed no k within n, or are all zero. mu and tau
     default to 1 and apply uniformly; heterogeneous vendor accuracy or
-    trust breaks the reduction by definition.
+    trust breaks the reduction by definition. They follow compose_weighted's
+    rules: mu in (0, 1], tau in [0, 1].
     """
     if policy.strategy.kind is not StrategyKind.WEIGHTED:
         raise ConfigError("equivalent_kofn requires a weighted-threshold policy", field="strategy")
     if n < 1:
         raise ConfigError("n must be at least 1", field="n")
+    configio.positive_fraction(mu, "mu")
+    configio.unit_interval(tau, "tau")
     products = [mu * tau * phi for phi in policy.weights.values()]
     if not products:
         return None

@@ -4,9 +4,12 @@ All composition assumes independent factors. Counting strategies reduce
 to tails of a Poisson-binomial pass-count distribution, computed by exact
 dynamic programming that a sweep extends from n to n+1 factors (O(N^2) over
 1..N); the weighted-threshold rule, fsum(passing weights) > T as decide()
-applies it, is evaluated by exact enumeration over outcome vectors
-(meet-in-the-middle, capped at n=25), with each half enumerated once and
-shared by both populations.
+applies it, is evaluated exactly by whichever of two enumerations is
+smaller: per weight class, one pass-count DP per distinct weight and one
+row per vector of class pass counts, prod(n_c + 1) rows; or meet-in-the-
+middle over outcome vectors, 2^ceil(n/2) per half, each half enumerated once
+and shared by both populations. Any n <= 25 composes exactly; past that,
+only weights in few classes do.
 A seeded Monte Carlo estimator serves as an independent cross-check for
 every strategy. Probabilities stay in linear space with compensated
 summation, and pass/fail probabilities are taken from the source rates
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -219,6 +223,10 @@ def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, pairs: 
 # Weighted-threshold composition (exact enumeration)
 
 EXACT_WEIGHTED_LIMIT = 25
+# past n = 25, the class path's bounds: the 2^13 outcomes of an n = 25
+# meet-in-the-middle half, and a pass matrix of that many rows of 25 cells
+_CLASS_ROWS = 1 << 13
+_CLASS_CELLS = _CLASS_ROWS * EXACT_WEIGHTED_LIMIT
 
 
 def _tie_band(weights: Sequence[float], threshold: float) -> float:
@@ -303,12 +311,43 @@ def _weighted_tails(weights: Sequence[float], pairs: Sequence[tuple[float, float
             far_in[c], frr_in[c] = math.fsum(b_adv[l:h][granted].tolist()), math.fsum(b_leg[l:h][~granted].tolist())
         above[near] = suffix[hi] + far_in[inverse.ravel()]
         below[near] = prefix[lo] + frr_in[inverse.ravel()]
-    # possible: every branch taken has a positive rate. No score falls as passes are
+    far, frr = math.fsum((a_mass[0] * above).tolist()), math.fsum((a_mass[1] * below).tolist())
+    return _weighted_rates(far, frr, weights, pairs, threshold)
+
+
+def _class_tails(weights: Sequence[float], pairs: Sequence[tuple[float, float]], threshold: float) -> CompositeRates:
+    """Adversary P(score > T) and legitimate P(score <= T) by weight class.
+
+    The score depends only on how many factors of each distinct weight pass.
+    Within a class that count is Poisson-binomial (_pass_counts), and the
+    classes are independent, so each of the prod(n_c + 1) count vectors is
+    one row of a canonical pass matrix (in class c, the first count columns
+    pass), granted by _weighted_above, with the product of its class masses.
+    """
+    classes: dict[float, list[tuple[float, float]]] = {}
+    for w, pair in zip(weights, pairs):
+        classes.setdefault(w, []).append(pair)
+    sizes = [len(members) for members in classes.values()]
+    counts = np.indices([s + 1 for s in sizes]).reshape(len(sizes), -1)
+    passes = np.hstack([np.arange(s) < c[:, None] for s, c in zip(sizes, counts)])
+    granted = _weighted_above(passes, [w for w, s in zip(classes, sizes) for _ in range(s)], threshold)
+    adversary, legitimate = np.ones(counts.shape[1]), np.ones(counts.shape[1])
+    for members, c in zip(classes.values(), counts):
+        # pass and fail probabilities from the source rates, as in compose_kofn
+        adversary *= np.array(_pass_counts([(far, 1.0 - far) for far, _ in members]))[c]
+        legitimate *= np.array(_pass_counts([(1.0 - frr, frr) for _, frr in members]))[c]
+    far, frr = math.fsum(adversary[granted].tolist()), math.fsum(legitimate[~granted].tolist())
+    return _weighted_rates(far, frr, weights, pairs, threshold)
+
+
+def _weighted_rates(far: float, frr: float, weights: Sequence[float], pairs: Sequence[tuple[float, float]], threshold: float) -> CompositeRates:
+    # the floor and underflow flags of both exact paths. An event is possible when
+    # every branch taken has a positive source rate; no score falls as passes are
     # added, so test the outcome passing all that can pass, or failing all that can fail
-    far_possible = math.fsum(w for w, (far, _) in zip(weights, pairs) if far > 0.0) > threshold
-    frr_possible = not math.fsum(w for w, (_, frr) in zip(weights, pairs) if not frr > 0.0) > threshold
-    far, far_uf = _floored(math.fsum((a_mass[0] * above).tolist()), far_possible)
-    frr, frr_uf = _floored(math.fsum((a_mass[1] * below).tolist()), frr_possible)
+    far_possible = math.fsum(w for w, (f, _) in zip(weights, pairs) if f > 0.0) > threshold
+    frr_possible = not math.fsum(w for w, (_, f) in zip(weights, pairs) if not f > 0.0) > threshold
+    far, far_uf = _floored(far, far_possible)
+    frr, frr_uf = _floored(frr, frr_possible)
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
@@ -327,8 +366,13 @@ def compose_weighted(
 
     factors are (far, frr, mu, tau, phi) tuples; mu, tau and phi follow the
     rules of Factor.vendor_accuracy, EvidenceRecord.trust and Policy weights.
-    Exact mode enumerates all outcome vectors and is capped at n=25; past
-    that, pass mode="monte-carlo" to get a seeded MonteCarloRates estimate.
+    Exact mode takes the class path (_class_tails) when its prod(n_c + 1)
+    count vectors, n_c factors per distinct weight, are at most the
+    2^ceil(n/2) outcomes of a meet-in-the-middle half, and meet-in-the-middle
+    (_weighted_tails) otherwise. Every n <= 25 composes exactly; past that,
+    the class path must have at most 2^13 count vectors and 2^13 * 25 pass-
+    matrix cells, else CapacityError: pass mode="monte-carlo" to get a seeded
+    MonteCarloRates estimate.
     """
     if not math.isfinite(threshold):
         raise ConfigError("threshold must be finite", field="threshold")
@@ -347,14 +391,20 @@ def compose_weighted(
         return _mc_rates(pairs, lambda passes: _weighted_above(passes, weights, threshold), trials, seed, workers)
     if mode != "exact":
         raise ConfigError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}", field="mode")
-    if len(factors) > EXACT_WEIGHTED_LIMIT:
+    # count vectors of the class path, prod(n_c + 1); 14 or more classes
+    # exceed _CLASS_ROWS, so their product is not formed
+    n, sizes = len(weights), Counter(weights).values()
+    rows = math.prod(s + 1 for s in sizes) if len(sizes) <= 13 else math.inf
+    if n <= EXACT_WEIGHTED_LIMIT and rows > 2 ** ((n + 1) // 2):
+        return _weighted_tails(weights, pairs, threshold)
+    if rows > _CLASS_ROWS or rows * n > _CLASS_CELLS:
         raise CapacityError(
-            f"exact mode enumerates 2^n outcomes and is capped at "
-            f"n={EXACT_WEIGHTED_LIMIT}; got n={len(factors)}. "
+            f"exact mode composes any n <= {EXACT_WEIGHTED_LIMIT} factors; past that, only weights "
+            f"in few distinct values: at most {_CLASS_ROWS} pass-count vectors prod(n_c + 1) and "
+            f"{_CLASS_CELLS} pass-matrix cells. Got n={n} with {len(sizes)} distinct weights. "
             "Use mode='monte-carlo' for larger systems."
         )
-
-    return _weighted_tails(weights, pairs, threshold)
+    return _class_tails(weights, pairs, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ class MonitorConfig:
             raise ConfigError("false_alarm must lie in [0, 1)", field="monitor.false_alarm")
         if self.check_interval is None:
             object.__setattr__(self, "check_interval", self.window)
-        if not self.check_interval > 0.0:
-            raise ConfigError("check_interval must be positive", field="monitor.check_interval")
+        if not 0.0 < self.check_interval < math.inf:
+            raise ConfigError("check_interval must be finite and positive", field="monitor.check_interval")
 
     def _per_check(self, per_window: float) -> float:
         ratio = self.check_interval / self.window

@@ -336,6 +336,8 @@ OVERFLOWING_POLICY = WEIGHTED_POLICY.replace("1.0\n  facial: 1.0", "1.0e+308\n  
     ("simulate", SCENARIO + "trust:\n  pin_code: 5.0\n", "trust.pin_code", 6),
     ("simulate", SCENARIO + "session:\n  t_basic: .nan\n", "session.t_basic", 6),
     ("simulate", SCENARIO + "monitor:\n  window: .inf\n", "monitor.window", 6),
+    # an infinite interval would schedule no check at all
+    ("simulate", SCENARIO + "monitor:\n  check_interval: .inf\n", "monitor.check_interval", 6),
 ])
 def test_values_outside_their_rule_exit_2_at_field_and_line(tmp_path, command, bad, field, line):
     bad = write(tmp_path, "bad.yaml", bad)

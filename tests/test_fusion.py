@@ -244,6 +244,15 @@ def test_equivalent_kofn_unreachable_threshold():
     assert equivalent_kofn(policy, 7) is None  # needs 8 passes out of 7
 
 
+def test_equivalent_kofn_holds_mu_and_tau_to_compose_weighted_rules():
+    # mu lies in (0, 1] like vendor accuracy, tau in [0, 1] like trust
+    policy = Policy(strategy=Strategy.weighted(2.5), weights={f"f{i}": 1.0 for i in range(3)})
+    for mu, tau, field in ((5.0, 1.0, "mu"), (math.nan, 1.0, "mu"), (1.0, -1.0, "tau")):
+        with pytest.raises(ConfigError) as err:
+            equivalent_kofn(policy, 3, mu=mu, tau=tau)
+        assert err.value.field == field
+
+
 def test_equivalent_kofn_matches_decide():
     rng = random.Random(404)
     for _ in range(2_000):

@@ -264,6 +264,42 @@ def test_equal_weights_at_a_float_tie_compose_to_the_equivalent_kofn(weight, thr
     assert math.isclose(rates.frr, counting.frr, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 17, 25])
+def test_class_path_agrees_with_meet_in_the_middle(n):
+    # two independent exact engines on the same inputs: at most three weight
+    # classes, zero weights among them, thresholds at float ties
+    rng = random.Random(f"classes:{n}")
+    for _ in range(30 if n <= 12 else 6):
+        classes = rng.sample(NON_DYADIC + (0.0,), rng.randint(1, 3))
+        weights = [rng.choice(classes) for _ in range(n)]
+        pairs = [(rng.choice([0.0, 1.0, rng.random()]), rng.choice([0.0, 1.0, rng.random()])) for _ in range(n)]
+        for threshold in tie_thresholds(rng, weights):
+            by_class = reliability._class_tails(weights, pairs, threshold)
+            halves = reliability._weighted_tails(weights, pairs, threshold)
+            case = (weights, pairs, threshold)
+            assert math.isclose(by_class.far, halves.far, rel_tol=1e-12), case
+            assert math.isclose(by_class.frr, halves.frr, rel_tol=1e-12), case
+            assert (by_class.far_underflow, by_class.frr_underflow) == (halves.far_underflow, halves.frr_underflow), case
+
+
+@pytest.mark.parametrize("n", [EXACT_WEIGHTED_LIMIT + 1, 40, 200, 452])
+def test_equal_weights_past_the_old_cap_compose_to_kofn(n):
+    # 452 is the largest single class within the pass-matrix cell bound
+    rng = random.Random(f"past-cap:{n}")
+    pairs = [(rng.choice([0.0, 1.0, rng.random()]), rng.choice([0.0, 1.0, rng.random()])) for _ in range(n)]
+    k = rng.randint(2, n - 1)
+    cases = [(1.0, k - 0.5, k)]
+    # float ties: n * w sums tie with T for some pass counts, as at n = 25
+    for weight, threshold in ((0.1, 1.2), (1 / 3, 4.0)):
+        cases.append((weight, threshold, equivalent_kofn(Policy(Strategy.weighted(threshold), {"f": weight}), n)))
+    for weight, threshold, k in cases:
+        rates = compose_weighted(quints(pairs, [weight] * n), threshold)
+        counting = compose_kofn(pairs, k)
+        assert math.isclose(rates.far, counting.far, rel_tol=1e-12), (weight, threshold)
+        assert math.isclose(rates.frr, counting.frr, rel_tol=1e-12), (weight, threshold)
+        assert (rates.far_underflow, rates.frr_underflow) == (counting.far_underflow, counting.frr_underflow)
+
+
 @pytest.mark.parametrize("weights, threshold, granted", [
     ((0.05, 0.1, 0.15), 0.3, False),
     ((0.15, 0.15, 0.05), 0.35, False),
@@ -299,20 +335,35 @@ def test_weighted_above_equals_a_per_row_fsum_at_ties():
     assert float_misses > 0
 
 
-def test_weighted_enumerates_each_half_once(monkeypatch):
-    calls = 0
+def count_half_outcomes(monkeypatch):
+    calls = [0]
     half_outcomes = reliability._half_outcomes
 
     def counted(weights, pairs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return half_outcomes(weights, pairs)
 
     monkeypatch.setattr(reliability, "_half_outcomes", counted)
-    for n in (1, 2, 7, EXACT_WEIGHTED_LIMIT):
-        calls = 0
+    return calls
+
+
+def test_weighted_enumerates_each_half_once(monkeypatch):
+    # distinct weights: prod(n_c + 1) = 2^n outgrows 2^ceil(n/2) from n = 2 on,
+    # so meet-in-the-middle runs, one enumeration per half
+    calls = count_half_outcomes(monkeypatch)
+    for n in (2, 7, EXACT_WEIGHTED_LIMIT):
+        calls[0] = 0
+        compose_weighted([(0.0003, 0.02, 1.0, 1.0, 1.0 + i / 64) for i in range(n)], n / 2)
+        assert calls[0] == 2, n
+
+
+def test_equal_weights_take_the_class_path(monkeypatch):
+    # one weight class: n + 1 <= 2^ceil(n/2) pass counts for n = 1 and n >= 3,
+    # so no half is enumerated
+    calls = count_half_outcomes(monkeypatch)
+    for n in (1, 3, 7, EXACT_WEIGHTED_LIMIT):
         compose_weighted([(0.0003, 0.02, 1.0, 1.0, 1.0)] * n, n / 2)
-        assert calls == 2, n
+        assert calls[0] == 0, n
 
 
 def test_weighted_equals_kofn_at_half_offset_threshold():
@@ -339,10 +390,14 @@ def test_weighted_single_factor_identity():
 
 
 def test_weighted_capacity_error_directs_to_monte_carlo():
-    entries = [(0.1, 0.1, 1.0, 1.0, 1.0)] * (EXACT_WEIGHTED_LIMIT + 1)
+    # distinct weights past n = 25 have 2^26 pass-count vectors, too many to compose exactly
+    entries = [(0.1, 0.1, 1.0, 1.0, 1.0 + i / 64) for i in range(EXACT_WEIGHTED_LIMIT + 1)]
     with pytest.raises(CapacityError) as err:
         compose_weighted(entries, 3.0)
     assert "monte-carlo" in str(err.value)
+    # one class of 453: 454 count vectors, but 454 x 453 cells exceed 2^13 x 25
+    with pytest.raises(CapacityError, match="monte-carlo"):
+        compose_weighted([(0.1, 0.1, 1.0, 1.0, 1.0)] * 453, 3.0)
     # the escape hatch itself works
     est = compose_weighted(entries, 3.0, mode="monte-carlo", trials=20_000, seed=9)
     assert 0.0 <= est.far.value <= 1.0

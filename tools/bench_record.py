@@ -1,10 +1,12 @@
 """Record one benchmark snapshot as BENCH_<label>.json.
 
-Runs `bench/run.py` once per workload that BENCHMARK.json declares, one
-after another, at a fixed seed and duration so that snapshots compare, and
-writes the environment (python and numpy versions, core count), each
-workload's correct/attempted/failed counts and end-to-end metrics, and
-src_lines, the `wc -l` total over src/authfusion/*.py:
+Runs `bench/run.py` RUNS times per workload that BENCHMARK.json declares,
+round-robin across the workloads so that a slow spell of the host spreads
+over all of them, at a fixed seed and duration so that snapshots compare.
+Writes the environment (python and numpy versions, core count), each
+workload's correct/attempted/failed counts over its runs, each end-to-end
+metric as the median of its runs (`value`) with its `min`, `max` and
+`runs`, and src_lines, the `wc -l` total over src/authfusion/*.py:
 
     python3 tools/bench_record.py 7                 # writes BENCH_7.json
 """
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +27,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 9001
 SECONDS = 20.0
+RUNS = 3
 
 
 def run_workload(workload: str) -> dict:
@@ -44,21 +48,33 @@ def src_lines() -> int:
     return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "authfusion").glob("*.py"))
 
 
+def summary(samples: list[dict]) -> dict:
+    """One metric over its runs: the median as value, with the spread."""
+    values = [sample["value"] for sample in samples]
+    return {"value": statistics.median(values), "unit": samples[0]["unit"],
+            "min": min(values), "max": max(values), "runs": len(values)}
+
+
 def record() -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
+    order = [w["name"] for w in spec["workloads"]]
+    results: dict[str, list[dict]] = {name: [] for name in order}
+    for _ in range(RUNS):
+        for name in order:
+            results[name].append(run_workload(name))
     workloads = {}
-    for w in spec["workloads"]:
-        result = run_workload(w["name"])
-        workloads[w["name"]] = {
-            "correct": result["correct"],
-            "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: result["metrics"][name] for name in names},
+    for name, runs in results.items():
+        workloads[name] = {
+            "correct": all(r["correct"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "metrics": {metric: summary([r["metrics"][metric] for r in runs]) for metric in names},
         }
     return {
         "seed": SEED,
         "seconds": SECONDS,
+        "runs": RUNS,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
