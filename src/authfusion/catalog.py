@@ -189,6 +189,11 @@ class Factor:
                 field=f"{self.id}.phases",
             )
 
+    def __hash__(self) -> int:
+        # equal factors share an id, and a str keeps its hash: one lookup
+        # where the generated hash would walk all ten fields every time
+        return hash(self.id)
+
     @property
     def category_code(self) -> str:
         return "/".join(c.code for c in _CATEGORY_ORDER if c in self.category)
@@ -419,6 +424,10 @@ def catalog_index(factors: Iterable[Factor]) -> dict[str, Factor]:
 # ---------------------------------------------------------------------------
 # Context gating
 
+# Gate results kept by value, least recently used dropped first: the
+# distinct (catalog, context, rules) a process gates are few.
+GATE_MEMO_SIZE = 256
+
 
 @dataclass(frozen=True)
 class GateResult:
@@ -437,8 +446,16 @@ def gate_factors(
     """Apply phase membership and context rules to a catalog.
 
     Excluded factors are unusable in this context; penalized ones stay
-    available but are flagged for weight reduction.
+    available but are flagged for weight reduction. The result is a pure
+    function of the values passed, kept for the last GATE_MEMO_SIZE
+    distinct ones; a context that cannot be hashed (a list-valued
+    condition) is gated afresh.
     """
+    return _gate(tuple(catalog), ctx, tuple(rules))
+
+
+@configio.memoized(GATE_MEMO_SIZE)
+def _gate(catalog: tuple[Factor, ...], ctx: ContextState, rules: tuple[ContextRule, ...]) -> GateResult:
     excluded: set[str] = set()
     penalized: set[str] = set()
     ids = {f.id for f in catalog}

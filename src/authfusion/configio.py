@@ -3,14 +3,17 @@
 Catalog, policy, evidence, and scenario files share the same plumbing:
 parse into plain dicts/lists/scalars while recording the line of every
 key and list item, so validation errors can point at the offending spot.
+The value rules, the read-only mapping the config objects hold, and the
+bounded memo that reuses work done for an equal config live here too.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import lru_cache, wraps
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import yaml
 
@@ -58,6 +61,57 @@ def finite_sum(values: Iterable[float], *path) -> None:
     that, since it raises OverflowError where the sum overflows."""
     if not math.isfinite(sum(values)):
         raise ConfigError("sum of weights must be finite", field=dotted(path))
+
+
+class FrozenMap(dict):
+    """A dict that refuses changes and hashes by its items, so a frozen
+    dataclass holding one compares and hashes by value. Hashing needs
+    hashable values (a list value raises TypeError); the hash is kept
+    once computed. Reads run at dict speed."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._hash: int | None = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.items()))
+        return self._hash
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("FrozenMap is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # str hashes differ between processes: a copy hashes afresh
+        return FrozenMap, (dict(self),)
+
+
+def memoized(bound: int) -> Callable:
+    """functools.lru_cache(bound), except that a call whose arguments
+    cannot be hashed runs uncached. A call that raises is not kept."""
+
+    def wrap(fn: Callable) -> Callable:
+        cached = lru_cache(maxsize=bound)(fn)
+
+        @wraps(fn)
+        def call(*args):
+            try:
+                return cached(*args)
+            except TypeError:
+                try:
+                    hash(args)
+                except TypeError:
+                    return fn(*args)
+                raise
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return wrap
 
 
 def read_text(path: str | Path) -> str:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 from typing import Any, Mapping
 
+from .configio import FrozenMap
 from .errors import ConfigError
 
 
@@ -25,7 +25,7 @@ class SessionPhase(Enum):
 
 # Conditions every context snapshot declares. The set is open: scenarios
 # may add their own named flags, but these are always present.
-DEFAULT_CONDITIONS: Mapping[str, Any] = MappingProxyType(
+DEFAULT_CONDITIONS: Mapping[str, Any] = FrozenMap(
     {
         "gloves_worn": False,
         "darkness": False,
@@ -39,15 +39,19 @@ DEFAULT_CONDITIONS: Mapping[str, Any] = MappingProxyType(
 
 @dataclass(frozen=True)
 class ContextState:
-    """Immutable context snapshot passed into gating and decisions."""
+    """Immutable context snapshot passed into gating and decisions.
+
+    Equal snapshots hash equal, so gating can be memoized by value."""
 
     conditions: Mapping[str, Any] = field(default_factory=dict)
     phase: SessionPhase | None = None
 
     def __post_init__(self):
-        merged = dict(DEFAULT_CONDITIONS)
-        merged.update(self.conditions)
-        object.__setattr__(self, "conditions", MappingProxyType(merged))
+        # another snapshot's conditions already hold the defaults: keep
+        # them, and with them their computed hash
+        held = self.conditions
+        if not (isinstance(held, FrozenMap) and held.keys() >= DEFAULT_CONDITIONS.keys()):
+            object.__setattr__(self, "conditions", FrozenMap({**DEFAULT_CONDITIONS, **held}))
 
     @classmethod
     def nominal(cls, phase: SessionPhase | None = None, **overrides: Any) -> "ContextState":
@@ -61,9 +65,8 @@ class ContextState:
             raise ConfigError(f"context does not declare condition '{name}'", field=name) from None
 
     def with_updates(self, updates: Mapping[str, Any], phase: SessionPhase | None = None) -> "ContextState":
-        merged = dict(self.conditions)
-        merged.update(updates)
-        return ContextState(conditions=merged, phase=phase if phase is not None else self.phase)
+        conditions = FrozenMap({**self.conditions, **updates}) if updates else self.conditions
+        return ContextState(conditions=conditions, phase=phase if phase is not None else self.phase)
 
 
 class RuleEffect(Enum):
@@ -93,6 +96,11 @@ class ContextRule:
             raise ConfigError("by_capability rule needs a capability name", field=self.condition)
         if self.effect is not RuleEffect.BY_CAPABILITY and self.capability:
             raise ConfigError("capability only applies to by_capability rules", field=self.condition)
+
+    def __hash__(self) -> int:
+        # equal rules share a condition name; the generated hash would walk
+        # every field, enum included, on each memoized gate
+        return hash(self.condition)
 
     def triggered(self, ctx: ContextState) -> bool:
         return ctx.condition(self.condition) == self.value

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import configio
@@ -97,7 +96,7 @@ class Policy:
                 raise ConfigError("weight must be a number", field=f"weights.{fid}")
             configio.non_negative(phi, "weights", fid)
         configio.finite_sum(self.weights.values(), "weights")
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        object.__setattr__(self, "weights", configio.FrozenMap(self.weights))
 
     def with_weights(self, weights: Mapping[str, float]) -> "Policy":
         return Policy(self.strategy, dict(weights), self.use_likelihood)

@@ -15,24 +15,31 @@ sampled outcomes with array arithmetic alone; the test suite holds it to
 the reports SessionMachine.step produces over the same samples. Sampling
 is sharded with per-shard derived seeds and a fixed-order reduction,
 making reports byte-stable for a given seed at any worker count.
+
+Scenarios, catalogs and policies compare and hash by value, so the
+validated plan is built once per distinct deployment: run_simulation and
+time_to_grant keep the last PLAN_MEMO_SIZE plans (a constant) keyed on
+(scenario, tuple(catalog), policy), and catalog.gate_factors keeps its
+results the same way. A hit skips validate_scenario too, since
+validation is a pure function of that key and a failure is never kept.
+One-shot runs in a fresh process miss and pay the full build.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate
-from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import configio
 from .catalog import ActionMode, Factor, catalog_index, gate_factors
+from .configio import FrozenMap
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
 from .fusion import EvidenceRecord, Policy, StrategyKind, decide
@@ -202,7 +209,7 @@ class SessionMachine:
         config: SessionConfig | None = None,
         rules: Sequence[ContextRule] = DEFAULT_CONTEXT_RULES,
     ):
-        self._catalog = list(catalog)
+        self._catalog = tuple(catalog)
         self._index = catalog_index(self._catalog)
         self._policy = policy
         self._ctx = ctx if ctx is not None else ContextState.nominal()
@@ -211,31 +218,21 @@ class SessionMachine:
         self._weighted = policy.strategy.kind is StrategyKind.WEIGHTED
         if self._weighted:
             # factors outside the weights map are simply out of scope
-            self._scope = [f for f in self._catalog if f.id in policy.weights]
+            self._scope = tuple(f for f in self._catalog if f.id in policy.weights)
             if not self._scope:
                 raise ConfigError("policy weights cover no catalog factor", field="weights")
         else:
             self._scope = self._catalog
         self._scope_ids = frozenset(f.id for f in self._scope)
-        self._gate_cache: dict[tuple[int, SessionPhase], tuple[ContextState, frozenset[str]]] = {}
-        self._eff_cache: dict[int, tuple[ContextState, dict[str, float]]] = {}
         self._resolve_thresholds()
 
     # -- static context-dependent sets -------------------------------------
 
     def _phase_ids(self, ctx: ContextState, phase: SessionPhase) -> frozenset[str]:
-        key = (id(ctx), phase)
-        hit = self._gate_cache.get(key)
-        if hit is not None and hit[0] is ctx:
-            return hit[1]
         gate = gate_factors(self._catalog, ctx.with_updates({}, phase=phase), self._rules)
-        ids = frozenset(f.id for f in gate.available)
         if phase is _PRE:
-            ids = frozenset(
-                fid for fid in ids if self._index[fid].action is not ActionMode.ACTIVE
-            )
-        self._gate_cache[key] = (ctx, ids)
-        return ids
+            return frozenset(f.id for f in gate.available if f.action is not ActionMode.ACTIVE)
+        return frozenset(f.id for f in gate.available)
 
     def expected_factors(self, ctx: ContextState | None = None) -> tuple[str, ...]:
         """Factors whose evidence the active-phase decision waits for."""
@@ -248,14 +245,12 @@ class SessionMachine:
         ctx = ctx if ctx is not None else self._ctx
         if not self._weighted:
             return self._policy
-        hit = self._eff_cache.get(id(ctx))
-        if hit is not None and hit[0] is ctx:
-            weights = hit[1]
-        else:
-            flat = ContextState(conditions=dict(ctx.conditions))
-            weights = effective_weights(self._policy, self._scope, flat, self._rules)
-            self._eff_cache[id(ctx)] = (ctx, weights)
-        return self._policy.with_weights(weights)
+        return self._policy.with_weights(self._weights(ctx))
+
+    def _weights(self, ctx: ContextState) -> dict[str, float]:
+        """The scope's weights adapted to ctx's conditions (phase aside)."""
+        flat = ContextState(conditions=ctx.conditions)
+        return effective_weights(self._policy, self._scope, flat, self._rules)
 
     def _resolve_thresholds(self) -> None:
         if self._weighted:
@@ -401,7 +396,7 @@ class SessionMachine:
     def _aggregate(self, latest: Mapping[str, EvidenceRecord], ctx: ContextState) -> float:
         if not self._weighted:
             return float(sum(rec.decision for rec in latest.values()))
-        weights = self.effective_policy(ctx).weights
+        weights = self._weights(ctx)
         terms = []
         for fid, rec in latest.items():
             delta = float(rec.decision)
@@ -439,12 +434,12 @@ class Scenario:
     catalog_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "trust", MappingProxyType(dict(self.trust)))
-        object.__setattr__(self, "conditions", MappingProxyType(dict(self.conditions)))
+        object.__setattr__(self, "trust", FrozenMap(self.trust))
+        object.__setattr__(self, "conditions", FrozenMap(self.conditions))
         object.__setattr__(
             self,
             "context_changes",
-            tuple((float(at), MappingProxyType(dict(updates))) for at, updates in self.context_changes),
+            tuple((float(at), FrozenMap(updates)) for at, updates in self.context_changes),
         )
         if self.factors is not None:
             object.__setattr__(self, "factors", tuple(self.factors))
@@ -672,7 +667,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     index = {f.id: f for f in catalog}
     weighted = policy.strategy.kind is StrategyKind.WEIGHTED
     if weighted:
-        machine.effective_policy(ctx)  # fails if the initial context leaves no usable factor
+        machine._weights(ctx)  # fails if the initial context leaves no usable factor
     timeline = _context_timeline(scenario)
 
     def context_at(at: float) -> tuple[int, ContextState]:
@@ -714,7 +709,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         cols = tuple(sorted(cols))
         if not (weighted and cols):
             return _Score(at, cols, ())
-        phi = machine.effective_policy(now).weights
+        phi = machine._weights(now)
         return _Score(at, cols, tuple(mu_tau[c] * phi.get(firings[c].factor_id, 0.0) for c in cols))
 
     # each scorable pre arrival rescores the scorable evidence so far under
@@ -955,14 +950,14 @@ class SimulationReport:
         object.__setattr__(
             self,
             "revocation_latency_distribution",
-            MappingProxyType(dict(sorted(self.revocation_latency_distribution.items()))),
+            FrozenMap(sorted(self.revocation_latency_distribution.items())),
         )
         object.__setattr__(
             self,
             "factor_firings",
-            MappingProxyType(
+            FrozenMap(
                 {
-                    phase: MappingProxyType(dict(sorted(counts.items())))
+                    phase: FrozenMap(sorted(counts.items()))
                     for phase, counts in sorted(self.factor_firings.items())
                 }
             ),
@@ -1010,15 +1005,32 @@ def _combine(tallies: Sequence[_Tally], seed: int) -> SimulationReport:
     )
 
 
+# Validated plans kept by value, least recently used dropped first.
+PLAN_MEMO_SIZE = 32
+
+
 def _planned(scenario: Scenario, catalog: Sequence[Factor], policy: Policy, trials: int):
-    """The validated plan and the catalog by factor id."""
+    """The validated plan and the catalog by factor id.
+
+    The plan is kept for the last PLAN_MEMO_SIZE distinct
+    (scenario, tuple(catalog), policy) keys. Those objects compare and
+    hash by value over every field, so an equal deployment loaded afresh
+    (a second CLI run in one process) hits too. A hit skips
+    validate_scenario as well as _build_plan: validation is a pure
+    function of the key, and a key whose validation failed is never kept,
+    so it raises again on every call. A key that cannot be hashed (a
+    list-valued condition) is validated and planned afresh."""
     if trials < 1:
         raise ConfigError("trials must be at least 1", field="trials")
+    return _plan_memo(scenario, tuple(catalog), policy), {f.id: f for f in catalog}
+
+
+@configio.memoized(PLAN_MEMO_SIZE)
+def _plan_memo(scenario: Scenario, catalog: tuple[Factor, ...], policy: Policy) -> _Plan:
     problems = validate_scenario(scenario, catalog, policy)
     if problems:
         raise ConfigError("scenario invalid: " + "; ".join(problems))
-    _, plan = _build_plan(scenario, catalog, policy)
-    return plan, {f.id: f for f in catalog}
+    return _build_plan(scenario, catalog, policy)[1]
 
 
 def run_simulation(
@@ -1057,6 +1069,15 @@ class GrantTiming:
     degenerate: bool
 
 
+def _counted_median(values: Sequence[float], counts: np.ndarray) -> float:
+    """statistics.median of counts[i] copies of each values[i], for
+    non-decreasing values and a positive total, without listing them."""
+    total = int(counts.sum())
+    cum = np.cumsum(counts)
+    low, high = (values[int(np.searchsorted(cum, k, side="right"))] for k in ((total - 1) // 2, total // 2))
+    return low if total % 2 else (low + high) / 2
+
+
 def time_to_grant(
     scenario: Scenario,
     catalog: Sequence[Factor],
@@ -1069,25 +1090,29 @@ def time_to_grant(
     the plan's decision time; Basic at the first pre-authentication
     arrival whose score beats t_basic."""
     plan, index = _planned(scenario, catalog, policy, trials)
-    arrival = np.array([x.at for x in plan.pre_scores])
+    points = len(plan.pre_scores)
 
     def run_shard(child: np.random.SeedSequence, size: int):
         _, passes, _ = _sample_shard(child, size, plan, scenario, index)
         first = _first_basic(plan, passes, plan.pre_scores)
         granted = _granted(plan, passes)
-        return arrival[first[first < len(arrival)]], int(granted.sum())
+        return np.bincount(first, minlength=points + 1)[:points], int(granted.sum())
 
     shards = _run_shards(trials, np.random.SeedSequence(seed), 1, run_shard)
-    basics = np.concatenate([times for times, _ in shards]).tolist()
+    # Basic grants per pre arrival: memory stays flat in trials
+    counts = sum((c for c, _ in shards), np.zeros(points, dtype=np.int64))
+    basics = int(counts.sum())
     fulls = sum(n for _, n in shards)
+    # one numeric type for every time, as numpy's sampled arrays hold them
+    arrival = np.array([x.at for x in plan.pre_scores]).tolist()
     # every Full grant lands at the same plan-time decision
     median_active = plan.decision.at - plan.pre_end if fulls else None
     budget = scenario.config.usability_budget
     return GrantTiming(
         trials=trials,
-        basic_grants=len(basics),
+        basic_grants=basics,
         full_grants=fulls,
-        median_time_to_basic=statistics.median(basics) if basics else None,
+        median_time_to_basic=_counted_median(arrival, counts) if basics else None,
         median_time_to_full=plan.decision.at if fulls else None,
         median_active_phase=median_active,
         usability_budget=budget,

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import configio
@@ -38,7 +37,7 @@ class SourceClass(Enum):
     STRANGER = "stranger"
 
 
-DEFAULT_TRUST_LEVELS: Mapping[SourceClass, float] = MappingProxyType({
+DEFAULT_TRUST_LEVELS: Mapping[SourceClass, float] = configio.FrozenMap({
     SourceClass.OWNED: 1.0,
     SourceClass.FAMILIAR: 0.8,
     SourceClass.SOCIAL_FRIEND: 0.6,
@@ -62,7 +61,7 @@ class TrustModel:
             configio.unit_interval(self.levels[cls], "levels", cls.value)
         if self.promotion_threshold < 1:
             raise ConfigError("promotion_threshold must be at least 1", field="promotion_threshold")
-        object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
+        object.__setattr__(self, "levels", configio.FrozenMap(self.levels))
 
 
 DEFAULT_TRUST_MODEL = TrustModel()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from authfusion import catalog
 from authfusion.catalog import (
     ActionMode,
     DEFAULT_CATALOG,
@@ -15,7 +16,7 @@ from authfusion.catalog import (
     gate_factors,
     load_catalog,
 )
-from authfusion.context import ContextState, SessionPhase
+from authfusion.context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from authfusion.errors import ConfigError
 
 
@@ -210,3 +211,58 @@ def test_gate_result_partition_is_consistent():
         assert not available & gate.excluded
         assert gate.penalized <= available
         assert available | gate.excluded == {f.id for f in DEFAULT_CATALOG}
+
+
+# -- the gate memo ------------------------------------------------------------
+
+
+@pytest.fixture
+def gate_memo():
+    catalog._gate.cache_clear()
+    yield catalog._gate
+    catalog._gate.cache_clear()
+
+
+def test_equal_contexts_share_one_gate(gate_memo):
+    first = gate_factors(DEFAULT_CATALOG, ContextState.nominal(SessionPhase.ACTIVE_AUTHENTICATION, darkness=True))
+    loaded = load_catalog(catalog_to_yaml(DEFAULT_CATALOG))
+    again = gate_factors(loaded, ContextState({"darkness": 1}, SessionPhase.ACTIVE_AUTHENTICATION),
+                         list(DEFAULT_CONTEXT_RULES))
+    info = gate_memo.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    gate_memo.cache_clear()
+    fresh = gate_factors(loaded, ContextState({"darkness": 1}, SessionPhase.ACTIVE_AUTHENTICATION))
+    assert again == first == fresh
+    assert "facial" in fresh.excluded
+
+
+def test_the_gate_memo_stays_within_its_bound(gate_memo):
+    for i in range(catalog.GATE_MEMO_SIZE + 10):
+        gate_factors(DEFAULT_CATALOG, ContextState.nominal(zone=i))
+    info = gate_memo.cache_info()
+    assert info.maxsize == catalog.GATE_MEMO_SIZE
+    assert info.currsize == catalog.GATE_MEMO_SIZE
+
+
+def test_a_list_valued_condition_gates_uncached(gate_memo):
+    ctx = ContextState.nominal(gloves_worn=True, zones=["a", "b"])
+    rules = DEFAULT_CONTEXT_RULES + (ContextRule("zones", value=["a", "b"], applies_to=("pin_code",)),)
+    got = gate_factors(DEFAULT_CATALOG, ctx, rules)
+    assert gate_memo.cache_info().currsize == 0
+    assert got.excluded == {"fingerprint", "hand_geometry", "vein_recognition", "pin_code"}
+
+
+def test_a_failed_gate_is_never_kept(gate_memo):
+    rules = (ContextRule("undeclared"),)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="undeclared"):
+            gate_factors(DEFAULT_CATALOG, ContextState.nominal(), rules)
+    assert gate_memo.cache_info().currsize == 0
+
+
+def test_equal_factors_and_rules_hash_equal():
+    loaded = load_catalog(catalog_to_yaml(DEFAULT_CATALOG))
+    for a, b in zip(DEFAULT_CATALOG, loaded):
+        assert a == b and hash(a) == hash(b)
+    assert ContextRule("darkness", value=True) == ContextRule("darkness", value=1)
+    assert hash(ContextRule("darkness", value=True)) == hash(ContextRule("darkness", value=1))

@@ -6,13 +6,23 @@ import random
 import statistics
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from authfusion import reliability
-from authfusion.catalog import DEFAULT_CATALOG
+from authfusion import reliability, session
+from authfusion.catalog import (
+    CAPS_PIN,
+    DEFAULT_CATALOG,
+    ActionMode,
+    DurationBand,
+    DurationClass,
+    Factor,
+    FactorCategory,
+    catalog_to_yaml,
+    load_catalog,
+)
 from authfusion.context import ContextState, SessionPhase
 from authfusion.errors import ConfigError, EvaluationError
 from authfusion.fusion import EvidenceRecord, Policy, Strategy
@@ -31,6 +41,7 @@ from authfusion.session import (
     Tick,
     _build_plan,
     _combine,
+    _counted_median,
     _sample_shard,
     load_scenario,
     report_summary,
@@ -1118,3 +1129,205 @@ def test_time_to_grant_degenerate_run():
     assert timing.full_grants == 0
     assert timing.median_time_to_full is None
     assert timing.over_budget is False
+
+
+def test_counted_median_equals_the_median_of_the_listed_times():
+    rng = random.Random(13)
+    parities = set()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        values = sorted(rng.choice((0.5, 1.0, 1.0, 2.5, 8.0, 8.0, 60.0)) for _ in range(n))  # ties
+        counts = np.array([rng.choice((0, 0, 1, 2, 3, 8)) for _ in range(n)], dtype=np.int64)
+        counts[rng.randrange(n)] += 1
+        listed = [v for v, c in zip(values, counts.tolist()) for _ in range(c)]
+        got, want = _counted_median(values, counts), statistics.median(listed)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+        parities.add(len(listed) % 2)
+    assert parities == {0, 1}
+    # distinct middle values at an even total take their mean
+    assert _counted_median([1.0, 2.0], np.array([1, 1])) == 1.5
+
+
+# -- the plan memo: equal deployments share one validated plan ---------------
+
+MEMO_POLICY = Policy(Strategy.weighted(1.5), {"token": 1.0, "facial": 1.0, "pin_code": 1.0})
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of every _build_plan call, from an empty memo."""
+    calls = []
+    build = session._build_plan
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(session, "_build_plan", counted)
+    session._plan_memo.cache_clear()
+    yield calls
+    session._plan_memo.cache_clear()
+
+
+def _csv(scenario, catalog=CATALOG3, policy=MEMO_POLICY, seed=11):
+    return report_to_csv(run_simulation(scenario, catalog, policy, 3000, seed))
+
+
+def test_a_deployment_loaded_twice_reuses_its_plan(builds):
+    first = _csv(load_scenario(SCENARIO_YAML))
+    catalog = load_catalog(catalog_to_yaml(CATALOG3))
+    policy = Policy(Strategy.weighted(1.5), {"pin_code": 1.0, "facial": 1.0, "token": 1.0})
+    again = _csv(load_scenario(SCENARIO_YAML), catalog, policy)
+    timing = time_to_grant(load_scenario(SCENARIO_YAML), catalog, policy, trials=500, seed=3)
+    assert len(builds) == 1
+    session._plan_memo.cache_clear()
+    assert _csv(load_scenario(SCENARIO_YAML)) == first == again
+    assert time_to_grant(load_scenario(SCENARIO_YAML), catalog, policy, trials=500, seed=3) == timing
+    assert len(builds) == 2
+
+
+def _scenario_changes(sc):
+    return {
+        "name": "other",
+        "adversary_fraction": 0.5,
+        "takeover": False,
+        "factors": ("token", "pin_code"),
+        "trust": {"token": 0.6},
+        "conditions": {"darkness": False},
+        "context_changes": ((6.0, {"noise_level": "high"}),),
+        "monitor_factor": None,
+        "config": replace(sc.config, usability_budget=4.0),
+        "policy_path": "other.yaml",
+        "catalog_path": "other.yaml",
+    }
+
+
+CONFIG_CHANGES = {
+    "t_basic": 0.5,
+    "staleness_horizon": 60.0,
+    "monitor": MonitorConfig(),
+    "monitoring_horizon": 200.0,
+    "usability_budget": 4.0,
+}
+MONITOR_CHANGES = {"window": 120.0, "detection_accuracy": 0.8, "check_interval": 25.0, "false_alarm": 0.05}
+POLICY_CHANGES = {
+    "strategy": Strategy.weighted(1.0),
+    "weights": {"token": 1.0, "facial": 1.0, "pin_code": 2.0},
+    "use_likelihood": True,
+}
+FACTOR_CHANGES = {  # applied to token, except the id, which voice changes
+    "id": "voice2",
+    "name": "Token 2",
+    "category": frozenset({FactorCategory.OWNERSHIP, FactorCategory.BEHAVIOR}),
+    "action": ActionMode.EITHER,
+    "duration": DurationClass(DurationBand.SHORT, 0.25),
+    "far": 0.001,
+    "frr": 0.05,
+    "vendor_accuracy": 0.9,
+    "capabilities": CAPS_PIN,
+    "phases": frozenset({ACT, MON}),
+}
+
+
+def _one_field_changes():
+    """(what, scenario, catalog, policy) per field of each key object, each
+    differing from the base deployment in that one field."""
+    sc = load_scenario(SCENARIO_YAML)
+    catalog = CATALOG3 + [BY_ID["voice"]]
+    tables = [
+        (Scenario, _scenario_changes(sc), lambda v: (replace(sc, **v), catalog, MEMO_POLICY)),
+        (SessionConfig, CONFIG_CHANGES,
+         lambda v: (replace(sc, config=replace(sc.config, **v)), catalog, MEMO_POLICY)),
+        (MonitorConfig, MONITOR_CHANGES,
+         lambda v: (replace(sc, config=replace(sc.config, monitor=replace(sc.config.monitor, **v))),
+                    catalog, MEMO_POLICY)),
+        (Policy, POLICY_CHANGES, lambda v: (sc, catalog, replace(MEMO_POLICY, **v))),
+        (Factor, FACTOR_CHANGES,
+         lambda v: (sc, [replace(f, **v) if f.id == ("voice" if "id" in v else "token") else f
+                         for f in catalog], MEMO_POLICY)),
+    ]
+    yield "base", sc, catalog, MEMO_POLICY
+    for cls, changes, build in tables:
+        # a field added later must be given a change here too
+        assert set(changes) == {f.name for f in fields(cls)}, cls.__name__
+        for name, value in changes.items():
+            yield f"{cls.__name__}.{name}", *build({name: value})
+
+
+def test_changing_any_one_field_misses_the_memo(builds):
+    (_, *base), *changed = _one_field_changes()
+    for what, *deployment in changed:
+        assert deployment != base, what
+        session._plan_memo.cache_clear()
+        _csv(*base)
+        before = len(builds)
+        hit_or_miss = _csv(*deployment)
+        assert len(builds) == before + 1, f"{what} hit the memo"
+        session._plan_memo.cache_clear()
+        assert _csv(*deployment) == hit_or_miss, what
+
+
+def _trust(v):
+    return Scenario(factors=("token", "facial", "pin_code"), trust={"token": v}), CATALOG3, MEMO_POLICY
+
+
+def _weight(v):
+    return Scenario(), CATALOG3, Policy(Strategy.weighted(1.5), {"token": v, "facial": 1.0, "pin_code": 1.0})
+
+
+def _condition(v):
+    return Scenario(conditions={"darkness": v}, takeover=True), CATALOG3, MEMO_POLICY
+
+
+@pytest.mark.parametrize("build, first, second", [
+    (_trust, -0.0, 0.0), (_trust, 1, 1.0), (_weight, 1, 1.0), (_weight, 0.0, -0.0),
+    (_condition, True, 1), (_condition, False, 0.0),
+])
+def test_values_that_compare_equal_give_one_report_hit_or_miss(builds, build, first, second):
+    one = _csv(*build(first))
+    hit = _csv(*build(second))
+    assert len(builds) == 1
+    session._plan_memo.cache_clear()
+    assert _csv(*build(second)) == hit == one
+    assert len(builds) == 2
+
+
+def test_the_plan_memo_stays_within_its_bound(builds):
+    for i in range(session.PLAN_MEMO_SIZE + 5):
+        run_simulation(Scenario(name=f"s{i}"), CATALOG3, MEMO_POLICY, 1, 0)
+    info = session._plan_memo.cache_info()
+    assert info.maxsize == session.PLAN_MEMO_SIZE
+    assert info.currsize == session.PLAN_MEMO_SIZE
+    assert len(builds) == session.PLAN_MEMO_SIZE + 5
+
+
+def test_a_list_valued_condition_still_simulates(builds):
+    listed = load_scenario("schema_version: 1\ncontext:\n  initial:\n    zones: [a, b]\n")
+    with pytest.raises(TypeError):
+        hash(listed)
+    reports = [_csv(listed) for _ in range(2)]
+    assert len(builds) == 2  # no memo for a key that cannot be hashed
+    assert reports[0] == reports[1] == _csv(Scenario())
+
+
+def test_failed_validation_is_never_kept(builds):
+    bad = Scenario(factors=("token", "nope"))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="unknown factor 'nope'"):
+            run_simulation(bad, CATALOG3, MEMO_POLICY, 10, 0)
+    assert session._plan_memo.cache_info().currsize == 0
+
+
+def test_equal_deployments_hash_equal():
+    """Two deployments built apart, with values that compare equal but
+    differ in type or sign, compare and hash equal."""
+    def deployment(zero, one, yes):
+        sc = load_scenario(SCENARIO_YAML)
+        sc = replace(sc, trust={"token": 0.8, "facial": zero}, conditions={"darkness": yes, "x": one})
+        catalog = load_catalog(catalog_to_yaml(CATALOG3))
+        policy = Policy(Strategy.weighted(1.5), {"token": one, "facial": 1.0, "pin_code": 1.0})
+        return sc, tuple(catalog), policy, sc.config, sc.config.monitor, sc.initial_context()
+
+    for a, b in zip(deployment(0.0, 1.0, True), deployment(-0.0, 1, 1)):
+        assert a == b
+        assert hash(a) == hash(b)
