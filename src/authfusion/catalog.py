@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import yaml
 
@@ -275,9 +275,7 @@ def load_catalog(source: str) -> list[Factor]:
     Any schema violation raises ConfigError naming the offending field and
     line; nothing is returned partially.
     """
-    data, lines = configio.load_document(source, what="catalog")
-    root = configio.Section(data, lines, what="catalog")
-    configio.check_schema_version(root)
+    root = configio.load_root(source, "catalog")
     root.reject_unknown({"schema_version", "factors"})
     factors = [_parse_factor(entry) for entry in root.items("factors")]
     if not factors:
@@ -297,7 +295,7 @@ def _parse_factor(sec: configio.Section) -> Factor:
     sec.reject_unknown(_FACTOR_FIELDS)
     fid = sec.require("id", str)
     category = _parse_enum_set(sec, "category", FactorCategory)
-    action = _parse_enum(sec, "action", ActionMode)
+    action = sec.member("action", ActionMode, sec.require("action", str))
     duration = _parse_duration(sec)
     phases = _parse_phases(sec, action)
     caps = _parse_capabilities(sec.section("capabilities"))
@@ -308,21 +306,12 @@ def _parse_factor(sec: configio.Section) -> Factor:
             category=category,
             action=action,
             duration=duration,
-            far=float(sec.get("far", float, DEFAULT_FAR)),
-            frr=float(sec.get("frr", float, DEFAULT_FRR)),
-            vendor_accuracy=float(sec.get("vendor_accuracy", float, 1.0)),
+            far=sec.get("far", float, DEFAULT_FAR),
+            frr=sec.get("frr", float, DEFAULT_FRR),
+            vendor_accuracy=sec.get("vendor_accuracy", float, 1.0),
             capabilities=caps,
             phases=phases,
         )
-
-
-def _parse_enum(sec: configio.Section, key: str, enum_cls) -> Any:
-    raw = sec.require(key, str)
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise sec.error(key, f"'{raw}' is not one of: {valid}") from None
 
 
 def _parse_enum_set(sec: configio.Section, key: str, enum_cls) -> frozenset:
@@ -331,11 +320,7 @@ def _parse_enum_set(sec: configio.Section, key: str, enum_cls) -> frozenset:
     for i, item in enumerate(raw):
         if not isinstance(item, str):
             raise sec.error(key, f"entry {i} must be a string")
-        try:
-            out.add(enum_cls(item))
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise sec.error(key, f"'{item}' is not one of: {valid}") from None
+        out.add(sec.member(key, enum_cls, item))
     if not out:
         raise sec.error(key, "must list at least one entry")
     return frozenset(out)
@@ -344,15 +329,12 @@ def _parse_enum_set(sec: configio.Section, key: str, enum_cls) -> frozenset:
 def _parse_duration(sec: configio.Section) -> DurationClass:
     raw = sec.require("duration")
     if isinstance(raw, str):
-        try:
-            band = DurationBand(raw)
-        except ValueError:
-            raise sec.error("duration", f"'{raw}' is not one of: short, medium, long") from None
+        band = sec.member("duration", DurationBand, raw)
         return DurationClass(band, REPRESENTATIVE_SECONDS[band])
     dsec = sec.section("duration")
     dsec.reject_unknown({"band", "seconds"})
-    band = _parse_enum(dsec, "band", DurationBand)
-    seconds = float(dsec.get("seconds", float, REPRESENTATIVE_SECONDS[band]))
+    band = dsec.member("band", DurationBand, dsec.require("band", str))
+    seconds = dsec.get("seconds", float, REPRESENTATIVE_SECONDS[band])
     with dsec.checking():
         return DurationClass(band, seconds)
 
@@ -369,12 +351,7 @@ def _parse_tristate(sec: configio.Section, key: str) -> Tristate:
     raw = sec.data[key]
     if isinstance(raw, bool):  # YAML reads bare yes/no as booleans
         return Tristate.YES if raw else Tristate.NO
-    if isinstance(raw, str):
-        try:
-            return Tristate(raw)
-        except ValueError:
-            pass
-    raise sec.error(key, f"'{raw}' is not one of: yes, no, partial")
+    return sec.member(key, Tristate, raw)
 
 
 def _parse_capabilities(sec: configio.Section | None) -> CapabilityFlags:

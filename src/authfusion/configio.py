@@ -3,17 +3,22 @@
 Catalog, policy, evidence, and scenario files share the same plumbing:
 parse into plain dicts/lists/scalars while recording the line of every
 key and list item, so validation errors can point at the offending spot.
-The value rules, the read-only mapping the config objects hold, and the
-bounded memo that reuses work done for an equal config live here too.
+Section states each reading rule once: get(key, float) reads a number
+as a float, member(key, enum_cls, raw) reads an enum member, and
+fields(**types) reads a section that maps one-to-one onto an object,
+leaving an absent key to the object's own default. The value rules, the
+read-only mapping the config objects hold, and the bounded memo that
+reuses work done for an equal config live here too.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from enum import Enum
 from functools import lru_cache, wraps
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Container, Iterable, Iterator
 
 import yaml
 
@@ -125,30 +130,39 @@ def read_text(path: str | Path) -> str:
 def load_document(text: str, *, what: str = "document") -> tuple[Any, LineMap]:
     """Parse a single YAML document, returning (data, line map).
 
-    Raises ConfigError for syntax errors (with the parser's line) and for
-    empty input, which is never a valid config.
+    Raises ConfigError for syntax errors (with the parser's line), for
+    empty input, which is never a valid config, and for a recursive alias.
+    A node reached again through an alias is converted once: its value is
+    shared, and the line map holds its keys under the first path only.
     """
+    loader = yaml.SafeLoader(text)
     try:
-        loader = yaml.SafeLoader(text)
-        try:
-            node = loader.get_single_node()
-        finally:
-            loader.dispose()
+        node = loader.get_single_node()
+        if node is None:
+            raise ConfigError(f"empty {what}: nothing to parse")
+        lines: LineMap = {}
+        return _convert(loader, node, (), lines, {}), lines
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             line = mark.line + 1
         raise ConfigError(f"malformed {what}: {exc}", line=line) from exc
-    if node is None:
-        raise ConfigError(f"empty {what}: nothing to parse")
-    lines: LineMap = {}
-    data = _convert(node, (), lines)
-    return data, lines
+    finally:
+        loader.dispose()
 
 
-def _convert(node: yaml.Node, path: tuple, lines: LineMap) -> Any:
+def _convert(loader: yaml.SafeLoader, node: yaml.Node, path: tuple, lines: LineMap, done: dict) -> Any:
+    """node as plain data; done maps each collection node met so far to its
+    value, None while it is still being converted."""
     lines.setdefault(path, node.start_mark.line + 1)
+    if isinstance(node, yaml.ScalarNode):
+        return loader.construct_object(node)
+    if node in done:
+        if done[node] is None:
+            raise ConfigError("recursive alias", field=dotted(path), line=lines[path])
+        return done[node]
+    done[node] = None
     if isinstance(node, yaml.MappingNode):
         out: dict = {}
         for key_node, value_node in node.value:
@@ -158,15 +172,11 @@ def _convert(node: yaml.Node, path: tuple, lines: LineMap) -> Any:
                     "duplicate key", field=dotted(path + (key,)), line=key_node.start_mark.line + 1
                 )
             lines[path + (key,)] = key_node.start_mark.line + 1
-            out[key] = _convert(value_node, path + (key,), lines)
-        return out
-    if isinstance(node, yaml.SequenceNode):
-        return [_convert(child, path + (i,), lines) for i, child in enumerate(node.value)]
-    loader = yaml.SafeLoader("")
-    try:
-        return loader.construct_object(node, deep=True)
-    finally:
-        loader.dispose()
+            out[key] = _convert(loader, value_node, path + (key,), lines, done)
+    else:
+        out = [_convert(loader, child, path + (i,), lines, done) for i, child in enumerate(node.value)]
+    done[node] = out
+    return out
 
 
 class Section:
@@ -192,17 +202,38 @@ class Section:
         return self.get(key, types)
 
     def get(self, key: str, types: type | tuple = object, default: Any = None) -> Any:
+        """key's value, of types; default if absent. A float read returns a float."""
         if key not in self.data:
             return default
         value = self.data[key]
-        numeric = types is float or types is int
-        if types is float:
+        as_float = types is float
+        if as_float:
             types = (int, float)
-        if numeric and isinstance(value, bool):
+        if (as_float or types is int) and isinstance(value, bool):
             raise self.error(key, f"expected {_typename(types)}, got bool")
         if not isinstance(value, types):
             raise self.error(key, f"expected {_typename(types)}, got {type(value).__name__}")
-        return value
+        if not as_float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise self.error(key, "integer too large for a float") from None
+
+    def member(self, key: str, enum_cls: type[Enum], raw: Any) -> Any:
+        """The member of enum_cls whose value is raw, read at key."""
+        try:
+            return enum_cls(raw)
+        except ValueError:
+            valid = ", ".join(e.value for e in enum_cls)
+            raise self.error(key, f"'{raw}' is not one of: {valid}") from None
+
+    def fields(self, **types: type | tuple) -> dict[str, Any]:
+        """This section read as an object's keyword arguments, each key
+        as get(key, types[key]). Any other key is an unknown field, and
+        an absent key is left out, so the object's own default applies."""
+        self.reject_unknown(types)
+        return {key: self.get(key, t) for key, t in types.items() if key in self.data}
 
     def section(self, key: str, *, required: bool = False) -> "Section | None":
         if key not in self.data:
@@ -234,7 +265,7 @@ class Section:
             line = keys.get(name) or self.lines.get(self.path + (name.rpartition(".")[2],))
             raise ConfigError(exc.message, field=exc.field, line=line or self.lines.get(self.path)) from exc
 
-    def reject_unknown(self, known: set[str]) -> None:
+    def reject_unknown(self, known: Container[str]) -> None:
         for key in self.data:
             if key not in known:
                 raise self.error(key, "unknown field")
@@ -246,7 +277,11 @@ def _typename(types: type | tuple) -> str:
     return types.__name__
 
 
-def check_schema_version(section: Section, supported: int = 1) -> None:
-    version = section.require("schema_version", int)
-    if version != supported:
-        raise section.error("schema_version", f"unsupported schema_version {version}; this build reads version {supported}")
+def load_root(source: str, what: str) -> Section:
+    """A config file's top-level mapping, once its schema_version is
+    found to be the one this build reads, 1."""
+    root = Section(*load_document(source, what=what), what=what)
+    version = root.require("schema_version", int)
+    if version != 1:
+        raise root.error("schema_version", f"unsupported schema_version {version}; this build reads version 1")
+    return root

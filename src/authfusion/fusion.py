@@ -233,51 +233,35 @@ _STRATEGY_FIELDS = {"schema_version", "strategy", "k", "threshold", "weights", "
 
 def load_policy(source: str) -> Policy:
     """Parse a policy file (YAML text); errors carry field paths and lines."""
-    data, lines = configio.load_document(source, what="policy")
-    root = configio.Section(data, lines, what="policy")
-    configio.check_schema_version(root)
+    root = configio.load_root(source, "policy")
     root.reject_unknown(_STRATEGY_FIELDS)
-    tag = root.require("strategy", str)
-    try:
-        kind = StrategyKind(tag)
-    except ValueError:
-        valid = ", ".join(s.value for s in StrategyKind)
-        raise root.error("strategy", f"'{tag}' is not one of: {valid}") from None
-
+    kind = root.member("strategy", StrategyKind, root.require("strategy", str))
     k = root.require("k", int) if kind is StrategyKind.KOFN else root.get("k", int)
     weighted = kind is StrategyKind.WEIGHTED
     threshold = root.require("threshold", float) if weighted else root.get("threshold", float)
     weights: dict[str, float] = {}
     wsec = root.section("weights", required=weighted)
     if wsec is not None:
-        weights = {fid: float(wsec.require(fid, float)) for fid in wsec.data}
+        weights = {fid: wsec.require(fid, float) for fid in wsec.data}
         if not weights:
             raise root.error("weights", "weights map must not be empty")
     with root.checking():
-        strategy = Strategy(kind, k=k, threshold=None if threshold is None else float(threshold))
-        return Policy(strategy, weights, use_likelihood=bool(root.get("use_likelihood", bool, False)))
+        strategy = Strategy(kind, k=k, threshold=threshold)
+        return Policy(strategy, weights, use_likelihood=root.get("use_likelihood", bool, False))
 
 
 def load_evidence(source: str) -> list[EvidenceRecord]:
     """Parse an evidence file (YAML text) into records, validating ranges."""
-    data, lines = configio.load_document(source, what="evidence")
-    root = configio.Section(data, lines, what="evidence")
-    configio.check_schema_version(root)
+    root = configio.load_root(source, "evidence")
     root.reject_unknown({"schema_version", "records"})
     records = []
     for sec in root.items("records"):
-        sec.reject_unknown({"factor_id", "decision", "likelihood", "trust", "observed_at"})
-        likelihood = sec.get("likelihood", float)
+        values = sec.fields(likelihood=float, factor_id=str, decision=object, trust=float, observed_at=float)
+        # the two keys the record holds no default for
+        sec.require("factor_id")
+        sec.require("decision")
         with sec.checking():
-            records.append(
-                EvidenceRecord(
-                    factor_id=sec.require("factor_id", str),
-                    decision=sec.require("decision"),
-                    likelihood=None if likelihood is None else float(likelihood),
-                    trust=float(sec.get("trust", float, 1.0)),
-                    observed_at=float(sec.get("observed_at", float, 0.0)),
-                )
-            )
+            records.append(EvidenceRecord(**values))
     if not records:
         raise root.error("records", "evidence declares no records")
     return records

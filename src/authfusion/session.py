@@ -20,8 +20,8 @@ Scenarios, catalogs and policies compare and hash by value, so the
 validated plan is built once per distinct deployment: run_simulation and
 time_to_grant keep the last PLAN_MEMO_SIZE plans (a constant) keyed on
 (scenario, tuple(catalog), policy), and catalog.gate_factors keeps its
-results the same way. A hit skips validate_scenario too, since
-validation is a pure function of that key and a failure is never kept.
+results the same way. A hit skips the scenario's checks too, since
+they are a pure function of that key and a failure is never kept.
 One-shot runs in a fresh process miss and pay the full build.
 """
 
@@ -475,9 +475,7 @@ def _value_problems(scenario: Scenario) -> Iterator[tuple[tuple, str]]:
 
 def load_scenario(source: str) -> Scenario:
     """Parse a scenario file (YAML text); errors carry field paths and lines."""
-    data, lines = configio.load_document(source, what="scenario")
-    root = configio.Section(data, lines, what="scenario")
-    configio.check_schema_version(root)
+    root = configio.load_root(source, "scenario")
     root.reject_unknown(
         {
             "schema_version", "name", "adversary_fraction", "takeover", "factors",
@@ -494,7 +492,7 @@ def load_scenario(source: str) -> Scenario:
         factors = tuple(raw)
 
     tsec = root.section("trust")
-    trust = {} if tsec is None else {fid: float(tsec.require(fid, float)) for fid in tsec.data}
+    trust = {} if tsec is None else {fid: tsec.require(fid, float) for fid in tsec.data}
 
     conditions: dict[str, Any] = {}
     changes: list[tuple[float, dict[str, Any]]] = []
@@ -506,45 +504,28 @@ def load_scenario(source: str) -> Scenario:
             conditions = dict(isec.data)
         for entry in csec.items("changes") if "changes" in csec.data else []:
             entry.reject_unknown({"at", "set"})
-            at = float(entry.require("at", float))
+            at = entry.require("at", float)
             setsec = entry.section("set", required=True)
             changes.append((at, dict(setsec.data)))
 
     monitor = MonitorConfig()
     msec = root.section("monitor")
     if msec is not None:
-        msec.reject_unknown({"window", "detection_accuracy", "check_interval", "false_alarm"})
         with msec.checking():
-            monitor = MonitorConfig(
-                window=float(msec.get("window", float, 150.0)),
-                detection_accuracy=float(msec.get("detection_accuracy", float, 0.95)),
-                check_interval=(
-                    float(msec.require("check_interval", float)) if "check_interval" in msec.data else None
-                ),
-                false_alarm=float(msec.get("false_alarm", float, 0.01)),
-            )
+            monitor = MonitorConfig(**msec.fields(
+                window=float, detection_accuracy=float, check_interval=float, false_alarm=float))
 
     config = SessionConfig(monitor=monitor)
     ssec = root.section("session")
     if ssec is not None:
-        ssec.reject_unknown({"t_basic", "staleness_horizon", "monitoring_horizon", "usability_budget"})
         with ssec.checking():
-            config = SessionConfig(
-                t_basic=(float(ssec.require("t_basic", float)) if "t_basic" in ssec.data else None),
-                staleness_horizon=float(ssec.get("staleness_horizon", float, 300.0)),
-                monitor=monitor,
-                monitoring_horizon=(
-                    float(ssec.require("monitoring_horizon", float))
-                    if "monitoring_horizon" in ssec.data
-                    else None
-                ),
-                usability_budget=float(ssec.get("usability_budget", float, 2.0)),
-            )
+            config = SessionConfig(monitor=monitor, **ssec.fields(
+                t_basic=float, staleness_horizon=float, monitoring_horizon=float, usability_budget=float))
 
     scenario = Scenario(
         name=root.get("name", str, "scenario"),
-        adversary_fraction=float(root.get("adversary_fraction", float, 0.0)),
-        takeover=bool(root.get("takeover", bool, False)),
+        adversary_fraction=root.get("adversary_fraction", float, 0.0),
+        takeover=root.get("takeover", bool, False),
         factors=factors,
         trust=trust,
         conditions=conditions,
@@ -555,12 +536,24 @@ def load_scenario(source: str) -> Scenario:
         catalog_path=root.get("catalog_path", str),
     )
     for path, message in _value_problems(scenario):
-        raise ConfigError(message, field=configio.dotted(path), line=lines.get(path))  # the first, at its line
+        raise ConfigError(message, field=configio.dotted(path), line=root.lines.get(path))  # the first, at its line
     return scenario
 
 
 def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> list[str]:
-    """Every problem found, as messages; empty means runnable."""
+    """Every problem found, as messages; empty means runnable. Once the
+    static checks pass, the one left to report is the plan build's error."""
+    problems = _static_problems(scenario, catalog, policy)
+    if not problems:
+        try:
+            _plan_memo(scenario, tuple(catalog), policy)
+        except AuthFusionError as exc:
+            problems.append(str(exc))
+    return problems
+
+
+def _static_problems(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> list[str]:
+    """The problems found without building the plan."""
     problems = [f"{message} ({configio.dotted(path)})" for path, message in _value_problems(scenario)]
     ids = {f.id for f in catalog}
     if scenario.factors is not None:
@@ -587,10 +580,6 @@ def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Pol
         for fid in scenario.factors or ():
             if fid in ids and fid not in policy.weights:
                 problems.append(f"policy assigns no weight to scenario factor '{fid}'")
-    try:
-        SessionMachine(catalog, policy, ctx=scenario.initial_context(), config=scenario.config)
-    except AuthFusionError as exc:
-        problems.append(str(exc))
     return problems
 
 
@@ -646,8 +635,7 @@ class _Plan:
     scorable: tuple[tuple[int, int], ...]
     monitor_factor: str | None
     weighted: bool
-    threshold: float | None  # weighted: a Full grant takes a score above it
-    k: int | None  # counting: a Full grant takes at least k passes
+    threshold: float  # a Full grant takes a score, or pass count, above it
     t_basic: float
 
     def check_time(self, c: int) -> float:
@@ -764,9 +752,10 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         scorable=(),
         monitor_factor=monitor_factor,
         weighted=weighted,
-        threshold=policy.strategy.threshold,
-        # with nothing expected, every strategy denies: all takes one pass too
-        k=None if weighted else max(policy.strategy.passes_needed(len(decided_on)), 1),
+        # at least k passes is more than k - 1; with nothing expected,
+        # every strategy denies: all takes one pass too
+        threshold=(policy.strategy.threshold if weighted
+                   else max(policy.strategy.passes_needed(len(decided_on)), 1) - 1),
         t_basic=machine.t_basic,
     )
     # context stretch i covers the checks timed from its change up to the
@@ -848,13 +837,6 @@ def _above(plan: _Plan, passes: np.ndarray, point: _Score, threshold: float) -> 
     return _passes_per_row(passes, point.cols) > threshold
 
 
-def _granted(plan: _Plan, passes: np.ndarray) -> np.ndarray:
-    """Per session, the active decision: a score above T or at least k passes."""
-    if plan.weighted:
-        return _above(plan, passes, plan.decision, plan.threshold)
-    return _passes_per_row(passes, plan.decision.cols) >= plan.k
-
-
 def _first_basic(plan: _Plan, passes: np.ndarray, points: Sequence[_Score]) -> np.ndarray:
     """Per session, the first point beating t_basic; len(points) if none."""
     first = np.full(len(passes), len(points))
@@ -866,7 +848,7 @@ def _first_basic(plan: _Plan, passes: np.ndarray, points: Sequence[_Score]) -> n
 def _vector_tally(plan: _Plan, adversary, passes, first) -> _Tally:
     size = len(adversary)
     basic = _first_basic(plan, passes, plan.basic) < len(plan.basic)
-    grant = _granted(plan, passes)
+    grant = _above(plan, passes, plan.decision, plan.threshold)
     decided_at = plan.decision.at
 
     tally = _Tally()
@@ -1015,11 +997,11 @@ def _planned(scenario: Scenario, catalog: Sequence[Factor], policy: Policy, tria
     The plan is kept for the last PLAN_MEMO_SIZE distinct
     (scenario, tuple(catalog), policy) keys. Those objects compare and
     hash by value over every field, so an equal deployment loaded afresh
-    (a second CLI run in one process) hits too. A hit skips
-    validate_scenario as well as _build_plan: validation is a pure
-    function of the key, and a key whose validation failed is never kept,
-    so it raises again on every call. A key that cannot be hashed (a
-    list-valued condition) is validated and planned afresh."""
+    (a second CLI run in one process) hits too. A hit skips the static
+    checks as well as _build_plan: both are pure functions of the key,
+    and a key whose checks or build failed is never kept, so it raises
+    again on every call. A key that cannot be hashed (a list-valued
+    condition) is validated and planned afresh."""
     if trials < 1:
         raise ConfigError("trials must be at least 1", field="trials")
     return _plan_memo(scenario, tuple(catalog), policy), {f.id: f for f in catalog}
@@ -1027,7 +1009,7 @@ def _planned(scenario: Scenario, catalog: Sequence[Factor], policy: Policy, tria
 
 @configio.memoized(PLAN_MEMO_SIZE)
 def _plan_memo(scenario: Scenario, catalog: tuple[Factor, ...], policy: Policy) -> _Plan:
-    problems = validate_scenario(scenario, catalog, policy)
+    problems = _static_problems(scenario, catalog, policy)
     if problems:
         raise ConfigError("scenario invalid: " + "; ".join(problems))
     return _build_plan(scenario, catalog, policy)[1]
@@ -1095,7 +1077,7 @@ def time_to_grant(
     def run_shard(child: np.random.SeedSequence, size: int):
         _, passes, _ = _sample_shard(child, size, plan, scenario, index)
         first = _first_basic(plan, passes, plan.pre_scores)
-        granted = _granted(plan, passes)
+        granted = _above(plan, passes, plan.decision, plan.threshold)
         return np.bincount(first, minlength=points + 1)[:points], int(granted.sum())
 
     shards = _run_shards(trials, np.random.SeedSequence(seed), 1, run_shard)

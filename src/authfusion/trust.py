@@ -110,27 +110,17 @@ def parse_trust_model(sec: configio.Section) -> TrustModel:
     lsec = sec.section("levels")
     if lsec is not None:
         for key in lsec.data:
-            try:
-                cls = SourceClass(key)
-            except ValueError:
-                valid = ", ".join(c.value for c in SourceClass)
-                raise lsec.error(key, f"'{key}' is not one of: {valid}") from None
-            levels[cls] = float(lsec.require(key, float))
+            cls = lsec.member(key, SourceClass, key)
+            levels[cls] = lsec.require(key, float)
     threshold = sec.get("promotion_threshold", int, PROMOTION_THRESHOLD)
     with sec.checking():
         return TrustModel(levels=levels, promotion_threshold=threshold)
 
 
 def load_trust_model(source: str) -> TrustModel:
-    data, lines = configio.load_document(source, what="trust model")
-    root = configio.Section(data, lines, what="trust model")
-    configio.check_schema_version(root)
-    root.reject_unknown({"schema_version", "levels", "promotion_threshold"})
-    return parse_trust_model(
-        configio.Section(
-            {k: v for k, v in data.items() if k != "schema_version"}, lines, what="trust model"
-        )
-    )
+    root = configio.load_root(source, "trust model")
+    del root.data["schema_version"]  # what remains is the model's own section
+    return parse_trust_model(root)
 
 
 class TrustStore:

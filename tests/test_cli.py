@@ -338,6 +338,9 @@ OVERFLOWING_POLICY = WEIGHTED_POLICY.replace("1.0\n  facial: 1.0", "1.0e+308\n  
     ("simulate", SCENARIO + "monitor:\n  window: .inf\n", "monitor.window", 6),
     # an infinite interval would schedule no check at all
     ("simulate", SCENARIO + "monitor:\n  check_interval: .inf\n", "monitor.check_interval", 6),
+    # a 401-digit integer has no float
+    ("decide", WEIGHTED_POLICY.replace("threshold: 1.0", "threshold: 1" + "0" * 400), "threshold", 3),
+    ("simulate", SCENARIO.replace("0.2", "1" + "0" * 400), "adversary_fraction", 3),
 ])
 def test_values_outside_their_rule_exit_2_at_field_and_line(tmp_path, command, bad, field, line):
     bad = write(tmp_path, "bad.yaml", bad)

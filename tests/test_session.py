@@ -6,6 +6,7 @@ import random
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from authfusion.catalog import (
     load_catalog,
 )
 from authfusion.context import ContextState, SessionPhase
-from authfusion.errors import ConfigError, EvaluationError
+from authfusion.errors import AuthFusionError, ConfigError, EvaluationError
 from authfusion.fusion import EvidenceRecord, Policy, Strategy
 from authfusion.session import (
     ArrivalOfEvidence,
@@ -603,6 +604,57 @@ def test_validate_scenario_clean():
     assert validate_scenario(Scenario(factors=()), DEFAULT_CATALOG, W_POLICY) == [
         "factors list is empty"
     ]
+
+
+def test_validate_scenario_reports_what_the_plan_build_refuses():
+    gloves = {"gloves_worn": True}
+    monitoring_fingerprint = replace(BY_ID["fingerprint"], phases=frozenset((ACT, MON)))
+    for scenario, catalog, policy, message in (
+        (Scenario(conditions=gloves), [BY_ID["fingerprint"]],
+         Policy(Strategy.weighted(0.5), {"fingerprint": 1.0}), "context excludes every factor"),
+        (Scenario(conditions=gloves, monitor_factor="fingerprint"), [BY_ID["token"], monitoring_fingerprint],
+         Policy(Strategy.any_check()), "unusable in the monitoring phase under this context"),
+        (Scenario(config=SessionConfig(monitor=MonitorConfig(check_interval=1e-300), monitoring_horizon=1e308)),
+         CATALOG3, W_POLICY, "more than 2**53 monitoring checks"),
+    ):
+        problems = validate_scenario(scenario, catalog, policy)
+        assert len(problems) == 1 and message in problems[0], problems
+        with pytest.raises(AuthFusionError) as err:
+            run_simulation(scenario, catalog, policy, 10, 0)
+        assert str(err.value) == problems[0]
+        with pytest.raises(AuthFusionError) as err:
+            time_to_grant(scenario, catalog, policy, trials=10)
+        assert str(err.value) == problems[0]
+
+
+def test_validate_scenario_is_empty_exactly_when_the_simulation_runs():
+    # scanners that also monitor, so that gloves can take a monitor_factor away
+    catalog = [replace(f, phases=f.phases | {MON}) if f.id in ("fingerprint", "hand_geometry", "vein_recognition")
+               else f for f in DEFAULT_CATALOG]
+    monitors = {f.id for f in catalog if MON in f.phases}
+    rng = random.Random(1)
+    refused = Counter()
+    for case in range(40):
+        scenario, policy = _random_case(rng)
+        scenario = replace(
+            scenario,
+            conditions={name: on for name, _, on in rng.sample(TOGGLES, rng.randint(0, 3))},
+            monitor_factor=rng.choice((None, *(f for f in scenario.factors if f in monitors), *scenario.factors)),
+            config=replace(scenario.config, t_basic=rng.choice((None, None, 40.0))),
+        )
+        problems = validate_scenario(scenario, catalog, policy)
+        try:
+            run_simulation(scenario, catalog, policy, 10, 0)
+        except AuthFusionError as exc:
+            if str(exc).startswith("scenario invalid: "):
+                assert str(exc) == "scenario invalid: " + "; ".join(problems), case
+                refused["static"] += 1
+            else:
+                assert problems == [str(exc)], case
+                refused["build"] += 1
+        else:
+            assert problems == [], case
+    assert refused["static"] >= 5 and refused["build"] >= 5, refused
 
 
 def test_run_simulation_argument_errors():
