@@ -435,7 +435,6 @@ def gate_factors(
 def _gate(catalog: tuple[Factor, ...], ctx: ContextState, rules: tuple[ContextRule, ...]) -> GateResult:
     excluded: set[str] = set()
     penalized: set[str] = set()
-    ids = {f.id for f in catalog}
     for rule in rules:
         if not rule.triggered(ctx):
             continue
@@ -458,8 +457,8 @@ def _gate(catalog: tuple[Factor, ...], ctx: ContextState, rules: tuple[ContextRu
     available = tuple(f for f in catalog if f.id not in excluded)
     return GateResult(
         available=available,
-        excluded=frozenset(excluded & ids),
-        penalized=frozenset((penalized & ids) - excluded),
+        excluded=frozenset(excluded),
+        penalized=frozenset(penalized - excluded),
     )
 
 

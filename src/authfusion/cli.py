@@ -19,7 +19,7 @@ import hashlib
 import json
 import secrets
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -56,19 +56,16 @@ def _digest(content: str) -> dict[str, Any]:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def _write_with_manifest(path: Path, content: str, manifest: RunManifest) -> None:
-    path.write_text(content)
-    outputs = dict(manifest.outputs)
-    outputs[path.name] = _digest(content)
-    manifest = RunManifest(
-        command=manifest.command,
-        config_paths=manifest.config_paths,
-        parameters=manifest.parameters,
-        seed=manifest.seed,
-        tool_version=manifest.tool_version,
-        outputs=outputs,
-    )
-    path.with_name(path.name + ".manifest.json").write_text(manifest.to_json())
+def _write_with_manifest(files: Mapping[Path, str], manifest: RunManifest, manifest_path: Path | None = None) -> None:
+    """Write each file, then the manifest with their digests added, at
+    manifest_path or, for a lone file, beside it."""
+    if manifest_path is None:
+        (path,) = files
+        manifest_path = path.with_name(path.name + ".manifest.json")
+    for path, content in files.items():
+        path.write_text(content)
+    outputs = {**manifest.outputs, **{path.name: _digest(content) for path, content in files.items()}}
+    manifest_path.write_text(replace(manifest, outputs=outputs).to_json())
 
 
 def _load_catalog_arg(path: str | None) -> tuple[Factor, ...]:
@@ -95,7 +92,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
                 command="catalog export",
                 config_paths={"catalog": args.catalog or "<built-in>"},
             )
-            _write_with_manifest(Path(args.out), text, manifest)
+            _write_with_manifest({Path(args.out): text}, manifest)
         return EXIT_OK
 
     header = ("ID", "NAME", "CATEGORY", "ACTION", "DURATION", "FAR", "FRR")
@@ -111,9 +108,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         )
         for f in catalog
     ]
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
+    widths = [max(len(r[c]) for r in (header, *rows)) for c in range(len(header))]
+    for row in (header, *rows):
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
     return EXIT_OK
 
@@ -122,14 +118,12 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _parse_n_range(text: str) -> range:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise AuthFusionError(f"n-range must look like 1..7, got {text!r}")
+    # without "..", hi is empty and fails to parse like any other bad bound
+    lo, _, hi = text.partition("..")
     try:
-        start, stop = int(lo), int(hi)
+        return range(int(lo), int(hi) + 1)
     except ValueError:
         raise AuthFusionError(f"n-range must look like 1..7, got {text!r}") from None
-    return range(start, stop + 1)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -148,7 +142,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "strategies": list(strategies),
             },
         )
-        _write_with_manifest(Path(args.out), text, manifest)
+        _write_with_manifest({Path(args.out): text}, manifest)
     return EXIT_OK
 
 
@@ -181,16 +175,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario_path = Path(args.scenario)
     scenario = load_scenario(configio.read_text(scenario_path))
 
-    def resolve(rel: str) -> Path:
-        return scenario_path.parent / rel
+    def resolve(given: str | None, rel: str | None) -> str | None:
+        """The path given on the command line, else the scenario's own, relative to it."""
+        return given or (str(scenario_path.parent / rel) if rel else None)
 
-    catalog_path = args.catalog or (
-        str(resolve(scenario.catalog_path)) if scenario.catalog_path else None
-    )
+    catalog_path = resolve(args.catalog, scenario.catalog_path)
     catalog = _load_catalog_arg(catalog_path)
-    policy_path = args.policy or (
-        str(resolve(scenario.policy_path)) if scenario.policy_path else None
-    )
+    policy_path = resolve(args.policy, scenario.policy_path)
     if policy_path is None:
         raise AuthFusionError("no policy: pass --policy or set policy_path in the scenario")
     policy = load_policy(configio.read_text(policy_path))
@@ -207,10 +198,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report_file = out_dir / "report.csv"
-        summary_file = out_dir / "summary.txt"
-        report_file.write_text(csv_text)
-        summary_file.write_text(summary_text)
         manifest = RunManifest(
             command="simulate",
             config_paths={
@@ -222,12 +209,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             # recording it would break byte-identity across parallelism
             parameters={"trials": args.trials},
             seed=seed,
-            outputs={
-                report_file.name: _digest(csv_text),
-                summary_file.name: _digest(summary_text),
-            },
         )
-        (out_dir / "manifest.json").write_text(manifest.to_json())
+        files = {out_dir / "report.csv": csv_text, out_dir / "summary.txt": summary_text}
+        _write_with_manifest(files, manifest, out_dir / "manifest.json")
     sys.stdout.write(csv_text if args.format == "csv" else summary_text)
     return EXIT_OK
 

@@ -131,7 +131,8 @@ def load_document(text: str, *, what: str = "document") -> tuple[Any, LineMap]:
     """Parse a single YAML document, returning (data, line map).
 
     Raises ConfigError for syntax errors (with the parser's line), for
-    empty input, which is never a valid config, and for a recursive alias.
+    empty input, which is never a valid config, for a recursive alias, for
+    nesting too deep to parse, and for a scalar that cannot be read.
     A node reached again through an alias is converted once: its value is
     shared, and the line map holds its keys under the first path only.
     """
@@ -148,6 +149,8 @@ def load_document(text: str, *, what: str = "document") -> tuple[Any, LineMap]:
         if mark is not None:
             line = mark.line + 1
         raise ConfigError(f"malformed {what}: {exc}", line=line) from exc
+    except RecursionError:
+        raise ConfigError(f"malformed {what}: nested too deeply to parse") from None
     finally:
         loader.dispose()
 
@@ -157,7 +160,11 @@ def _convert(loader: yaml.SafeLoader, node: yaml.Node, path: tuple, lines: LineM
     value, None while it is still being converted."""
     lines.setdefault(path, node.start_mark.line + 1)
     if isinstance(node, yaml.ScalarNode):
-        return loader.construct_object(node)
+        try:
+            return loader.construct_object(node)
+        except (ValueError, KeyError, AttributeError) as exc:
+            # PyYAML's constructors raise these on unreadable text: an integer past Python's digit limit, say
+            raise ConfigError(f"unreadable value: {exc}", field=dotted(path), line=lines[path]) from None
     if node in done:
         if done[node] is None:
             raise ConfigError("recursive alias", field=dotted(path), line=lines[path])

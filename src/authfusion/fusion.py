@@ -164,15 +164,7 @@ def decide(records: Sequence[EvidenceRecord], policy: Policy, catalog: Sequence[
 
     passed = sum(rec.decision for rec in records)
     if policy.strategy.kind is StrategyKind.WEIGHTED:
-        contributions = []
-        for rec in records:
-            if rec.factor_id not in policy.weights:
-                raise ConfigError(f"policy assigns no weight to factor '{rec.factor_id}'", field=rec.factor_id)
-            delta = float(rec.decision)
-            if policy.use_likelihood and rec.likelihood is not None:
-                delta = rec.likelihood
-            mu = by_id[rec.factor_id].vendor_accuracy
-            contributions.append((rec.factor_id, delta * mu * rec.trust * policy.weights[rec.factor_id]))
+        contributions = _weighted_terms(records, by_id, policy.weights, policy.use_likelihood)
         score = math.fsum(c for _, c in contributions)
         return Decision(
             granted=score > policy.strategy.threshold,
@@ -184,6 +176,22 @@ def decide(records: Sequence[EvidenceRecord], policy: Policy, catalog: Sequence[
     contributions = [(rec.factor_id, float(rec.decision)) for rec in records]
     granted = passed >= policy.strategy.passes_needed(len(records))
     return Decision(granted=granted, score=None, passed_count=passed, contributing=tuple(contributions))
+
+
+def _weighted_terms(records: Sequence[EvidenceRecord], by_id: Mapping[str, Factor],
+                    weights: Mapping[str, float], use_likelihood: bool) -> list[tuple[str, float]]:
+    """(factor id, delta*mu*tau*phi) per record, phi read from weights and
+    delta replaced by the likelihood under use_likelihood; no weight raises."""
+    terms = []
+    for rec in records:
+        if rec.factor_id not in weights:
+            raise ConfigError(f"policy assigns no weight to factor '{rec.factor_id}'", field=rec.factor_id)
+        delta = float(rec.decision)
+        if use_likelihood and rec.likelihood is not None:
+            delta = rec.likelihood
+        mu = by_id[rec.factor_id].vendor_accuracy
+        terms.append((rec.factor_id, delta * mu * rec.trust * weights[rec.factor_id]))
+    return terms
 
 
 _REL_TOL = 1e-12

@@ -448,6 +448,8 @@ def _run_shards(trials: int, seed_seq: np.random.SeedSequence, workers: int, sha
     """shard_fn(child_seed, size) per shard of at most 65,536 trials, in
     shard order. Each shard seeds from its own child of seed_seq, so results
     match at any worker count; the pool never outgrows shards or cores."""
+    if trials < 1:
+        raise ConfigError("trials must be at least 1", field="trials")
     full, rem = divmod(trials, _SHARD)
     sizes = [_SHARD] * full + ([rem] if rem else [])
     jobs = list(zip(seed_seq.spawn(len(sizes)), sizes))
@@ -470,8 +472,6 @@ def _passes_per_row(passes: np.ndarray, cols: Iterable[int] | None = None) -> np
 def _mc_rates(pairs: Sequence[tuple[float, float]], grant: Callable, trials: int, seed: int, workers: int) -> MonteCarloRates:
     """Seeded FAR/FRR estimate of a grant rule over (far, frr) pairs. Each
     population's granted trials are summed over independently seeded shards."""
-    if trials < 1:
-        raise ConfigError("trials must be at least 1", field="trials")
 
     def granted(pass_probs: list[float], seed_seq: np.random.SeedSequence) -> int:
         probs = np.asarray(pass_probs)

@@ -42,7 +42,7 @@ from .catalog import ActionMode, Factor, catalog_index, gate_factors
 from .configio import FrozenMap
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
-from .fusion import EvidenceRecord, Policy, StrategyKind, decide
+from .fusion import EvidenceRecord, Policy, StrategyKind, _weighted_terms, decide
 from .reliability import _fmt17, _passes_per_row, _run_shards, _weighted_above
 from .trust import effective_weights
 
@@ -299,7 +299,7 @@ class SessionMachine:
             if state.phase is _PRE:
                 return self._begin_active(state, at)
             if state.phase is _ACT:
-                return self._conclude_active(state, ctx, at)
+                return self._decide_full(replace(state, elapsed=at), ctx, at)
             return replace(state, elapsed=at, terminal=Terminal.GRANTED)
         raise EvaluationError(f"unsupported event type {type(event).__name__}")
 
@@ -361,9 +361,6 @@ class SessionMachine:
             flagged=tuple(flag for _, flag in kept),
         )
 
-    def _conclude_active(self, state: SessionState, ctx: ContextState, at: float) -> SessionState:
-        return self._decide_full(replace(state, elapsed=at), ctx, at)
-
     def _decide_full(self, state: SessionState, ctx: ContextState, at: float) -> SessionState:
         expected = self.expected_factors(ctx)
         if not expected:
@@ -396,14 +393,10 @@ class SessionMachine:
     def _aggregate(self, latest: Mapping[str, EvidenceRecord], ctx: ContextState) -> float:
         if not self._weighted:
             return float(sum(rec.decision for rec in latest.values()))
-        weights = self._weights(ctx)
-        terms = []
-        for fid, rec in latest.items():
-            delta = float(rec.decision)
-            if self._policy.use_likelihood and rec.likelihood is not None:
-                delta = rec.likelihood
-            terms.append(delta * self._index[fid].vendor_accuracy * rec.trust * weights.get(fid, 0.0))
-        return math.fsum(terms)
+        # evidence outside the scope carries no weight
+        in_scope = [rec for fid, rec in latest.items() if fid in self._scope_ids]
+        terms = _weighted_terms(in_scope, self._index, self._weights(ctx), self._policy.use_likelihood)
+        return math.fsum(t for _, t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +585,8 @@ class _Firing:
     factor_id: str
     at: float
     trust: float
+    far: float
+    frr: float
 
 
 @dataclass(frozen=True)
@@ -608,11 +603,12 @@ class _Plan:
     """Per-session event layout, resolved against the context in force at
     each event. Firings are scheduled from the initial context; column j
     of the sampled outcomes is firing j of pre + active, and fresh pre
-    evidence is not prompted again. pre_scores is the score after each
-    scorable pre arrival in dispatch order; basic keeps each context
-    stretch's last, and highest, one. The decision lands at the first
-    scorable active arrival that completes the expected set, else at
-    active_end; late holds (column, scorable) for active arrivals
+    evidence is not prompted again. Each firing carries its factor's FAR
+    and FRR, so sampling reads the plan alone. pre_scores is the score
+    after each scorable pre arrival in dispatch order; basic keeps each
+    context stretch's last, and highest, one. The decision lands at the
+    first scorable active arrival that completes the expected set, else
+    at active_end; late holds (column, scorable) for active arrivals
     dispatched after it.
 
     Monitoring runs n_checks checks of monitor_factor (none without
@@ -652,9 +648,8 @@ def _context_timeline(scenario: Scenario) -> list[tuple[float, ContextState]]:
 def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> tuple[SessionMachine, _Plan]:
     ctx = scenario.initial_context()
     machine = SessionMachine(catalog, policy, ctx=ctx, config=scenario.config)
-    index = {f.id: f for f in catalog}
-    weighted = policy.strategy.kind is StrategyKind.WEIGHTED
-    if weighted:
+    index = machine._index
+    if machine._weighted:
         machine._weights(ctx)  # fails if the initial context leaves no usable factor
     timeline = _context_timeline(scenario)
 
@@ -668,11 +663,11 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     if scenario.factors is not None:
         chosen = [index[fid] for fid in scenario.factors]
     else:
-        chosen = [f for f in catalog if f.id in machine._scope_ids]
+        chosen = list(machine._scope)
     chosen_ids = {f.id for f in chosen}
 
     def firing(f: Factor, at: float) -> _Firing:
-        return _Firing(f.id, at, scenario.trust.get(f.id, 1.0))
+        return _Firing(f.id, at, scenario.trust.get(f.id, 1.0), f.far, f.frr)
 
     pre_ids = machine._phase_ids(ctx, _PRE)
     pre = tuple(firing(f, f.duration.seconds) for f in chosen if f.id in pre_ids)
@@ -695,7 +690,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
 
     def score(at: float, now: ContextState, cols) -> _Score:
         cols = tuple(sorted(cols))
-        if not (weighted and cols):
+        if not (machine._weighted and cols):
             return _Score(at, cols, ())
         phi = machine._weights(now)
         return _Score(at, cols, tuple(mu_tau[c] * phi.get(firings[c].factor_id, 0.0) for c in cols))
@@ -751,10 +746,10 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         n_checks=n_checks,
         scorable=(),
         monitor_factor=monitor_factor,
-        weighted=weighted,
+        weighted=machine._weighted,
         # at least k passes is more than k - 1; with nothing expected,
         # every strategy denies: all takes one pass too
-        threshold=(policy.strategy.threshold if weighted
+        threshold=(policy.strategy.threshold if machine._weighted
                    else max(policy.strategy.passes_needed(len(decided_on)), 1) - 1),
         t_basic=machine.t_basic,
     )
@@ -770,7 +765,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     return machine, replace(plan, scorable=scorable)
 
 
-def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario, index):
+def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario):
     """Draw one shard's randomness in a fixed order: population, one uniform
     per scheduled firing, one per session for monitoring. Adversary rows of
     passes are compared again in place: no sessions x factors threshold matrix.
@@ -784,8 +779,8 @@ def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenari
     adversary = rng.random(size) < scenario.adversary_fraction
     firings = plan.pre + plan.active
     u = rng.random((size, len(firings)))
-    passes = u < np.array([1.0 - index[x.factor_id].frr for x in firings])
-    np.less(u, np.array([index[x.factor_id].far for x in firings]), out=passes, where=adversary[:, None])
+    passes = u < np.array([1.0 - x.frr for x in firings])
+    np.less(u, np.array([x.far for x in firings]), out=passes, where=adversary[:, None])
     if not plan.scorable:
         return adversary, passes, np.full(size, plan.n_checks, dtype=np.int64)
 
@@ -991,24 +986,16 @@ def _combine(tallies: Sequence[_Tally], seed: int) -> SimulationReport:
 PLAN_MEMO_SIZE = 32
 
 
-def _planned(scenario: Scenario, catalog: Sequence[Factor], policy: Policy, trials: int):
-    """The validated plan and the catalog by factor id.
-
-    The plan is kept for the last PLAN_MEMO_SIZE distinct
-    (scenario, tuple(catalog), policy) keys. Those objects compare and
-    hash by value over every field, so an equal deployment loaded afresh
-    (a second CLI run in one process) hits too. A hit skips the static
-    checks as well as _build_plan: both are pure functions of the key,
-    and a key whose checks or build failed is never kept, so it raises
-    again on every call. A key that cannot be hashed (a list-valued
-    condition) is validated and planned afresh."""
-    if trials < 1:
-        raise ConfigError("trials must be at least 1", field="trials")
-    return _plan_memo(scenario, tuple(catalog), policy), {f.id: f for f in catalog}
-
-
 @configio.memoized(PLAN_MEMO_SIZE)
 def _plan_memo(scenario: Scenario, catalog: tuple[Factor, ...], policy: Policy) -> _Plan:
+    """The validated plan, kept for the last PLAN_MEMO_SIZE distinct
+    (scenario, catalog, policy) keys. Those objects compare and hash by
+    value over every field, so an equal deployment loaded afresh (a second
+    CLI run in one process) hits too. A hit skips the static checks as
+    well as _build_plan: both are pure functions of the key, and a key
+    whose checks or build failed is never kept, so it raises again on
+    every call. A key that cannot be hashed (a list-valued condition) is
+    validated and planned afresh."""
     problems = _static_problems(scenario, catalog, policy)
     if problems:
         raise ConfigError("scenario invalid: " + "; ".join(problems))
@@ -1026,9 +1013,9 @@ def run_simulation(
 ) -> SimulationReport:
     """Simulate `trials` sessions and aggregate. Deterministic for a given
     seed at any worker count."""
-    plan, index = _planned(scenario, catalog, policy, trials)
+    plan = _plan_memo(scenario, tuple(catalog), policy)
     tallies = _run_shards(trials, np.random.SeedSequence(seed), workers,
-                          lambda child, size: _vector_tally(plan, *_sample_shard(child, size, plan, scenario, index)))
+                          lambda child, size: _vector_tally(plan, *_sample_shard(child, size, plan, scenario)))
     return _combine(tallies, seed)
 
 
@@ -1071,11 +1058,11 @@ def time_to_grant(
     """Simulate trials and summarize grant timing. Full grants land at
     the plan's decision time; Basic at the first pre-authentication
     arrival whose score beats t_basic."""
-    plan, index = _planned(scenario, catalog, policy, trials)
+    plan = _plan_memo(scenario, tuple(catalog), policy)
     points = len(plan.pre_scores)
 
     def run_shard(child: np.random.SeedSequence, size: int):
-        _, passes, _ = _sample_shard(child, size, plan, scenario, index)
+        _, passes, _ = _sample_shard(child, size, plan, scenario)
         first = _first_basic(plan, passes, plan.pre_scores)
         granted = _above(plan, passes, plan.decision, plan.threshold)
         return np.bincount(first, minlength=points + 1)[:points], int(granted.sum())

@@ -341,6 +341,9 @@ OVERFLOWING_POLICY = WEIGHTED_POLICY.replace("1.0\n  facial: 1.0", "1.0e+308\n  
     # a 401-digit integer has no float
     ("decide", WEIGHTED_POLICY.replace("threshold: 1.0", "threshold: 1" + "0" * 400), "threshold", 3),
     ("simulate", SCENARIO.replace("0.2", "1" + "0" * 400), "adversary_fraction", 3),
+    # a 5,000-digit integer is past Python's digit limit for reading one
+    ("decide", WEIGHTED_POLICY.replace("threshold: 1.0", "threshold: " + "1" * 5000), "threshold", 3),
+    ("simulate", SCENARIO.replace("0.2", "1" * 5000), "adversary_fraction", 3),
 ])
 def test_values_outside_their_rule_exit_2_at_field_and_line(tmp_path, command, bad, field, line):
     bad = write(tmp_path, "bad.yaml", bad)
@@ -355,3 +358,43 @@ def test_values_outside_their_rule_exit_2_at_field_and_line(tmp_path, command, b
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert f"line {line}: {field}: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+DRIVING_SCENARIO = SCENARIO + """\
+takeover: true
+trust:
+  pin_code: 0.8
+context:
+  initial: {darkness: true}
+  changes:
+    - at: 5.0
+      set: {darkness: false, gloves_worn: true}
+monitor:
+  check_interval: 30.0
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # plans and gates are memoized by value and FrozenMap hashes str keys,
+    # whose hashes differ from one process to the next
+    scenario = write(tmp_path, "scenario.yaml", DRIVING_SCENARIO)
+    policy = write(tmp_path, "policy.yaml", WEIGHTED_POLICY)
+    src = os.path.dirname(os.path.dirname(authfusion.__file__))
+    runs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        stdout = []
+        for args in (["simulate", "--scenario", scenario, "--policy", policy, "--trials", "20000",
+                      "--workers", "2", "--seed", "11", "--format", "csv", "--out", str(out / "simulate")],
+                     ["sweep", "--n-range", "1..40", "--out", str(out / "sweep.csv")]):
+            proc = subprocess.run([sys.executable, "-m", "authfusion.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            stdout.append(proc.stdout)
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((stdout, files))
+    assert sorted(runs[0][1]) == ["simulate/manifest.json", "simulate/report.csv", "simulate/summary.txt",
+                                  "sweep.csv", "sweep.csv.manifest.json"]
+    assert runs[0] == runs[1]

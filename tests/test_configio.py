@@ -1,7 +1,9 @@
 """Reading config files: every bad value is reported at its key's line,
 and a YAML node reached through aliases is converted once."""
 
+import copy
 import os
+import random
 import subprocess
 import sys
 
@@ -11,9 +13,9 @@ import yaml
 import authfusion
 from authfusion import configio
 from authfusion.catalog import DEFAULT_CATALOG, catalog_to_yaml, load_catalog
-from authfusion.errors import ConfigError
-from authfusion.fusion import load_evidence, load_policy
-from authfusion.session import load_scenario
+from authfusion.errors import AuthFusionError, ConfigError
+from authfusion.fusion import decide, load_evidence, load_policy
+from authfusion.session import load_scenario, run_simulation, validate_scenario
 from authfusion.trust import load_trust_model
 
 CATALOG = """\
@@ -458,3 +460,87 @@ def test_a_tag_without_a_constructor_is_a_config_error_at_its_line():
         load_scenario("schema_version: 1\nname: !foo x\n")
     assert err.value.line == 2
     assert "could not determine a constructor for the tag '!foo'" in err.value.message
+
+
+def test_nesting_too_deep_to_parse_exits_2(tmp_path):
+    (tmp_path / "scenario.yaml").write_text("schema_version: 1\nname: " + "[" * 3000 + "]" * 3000 + "\n")
+    proc = _run(["-m", "authfusion.cli", "simulate", "--scenario", "scenario.yaml", "--trials", "10"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "malformed scenario: nested too deeply to parse" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Stand-ins that the fuzz swaps for text yaml.safe_dump cannot write: an
+# integer past Python's 4,300-digit conversion limit and a flow sequence
+# nested deeper than PyYAML's composer recurses. PyYAML scans the deep one
+# in time quadratic in its depth, about a second, so it is drawn rarely.
+LONG_INT, DEEP = "zzlongintzz", "zzdeepzz"
+ODD_VALUES = [None, True, 0, -1, 2, 1.5, -0.5, 1e308, float("inf"), float("nan"), "", "token", "all",
+              "1" + "0" * 400, [], {}, [1, "x"], {"a": 1}, LONG_INT]
+
+
+def _nodes(data, path=()):
+    """(path, value) for every map value and list item under data."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """text with one to three random edits: a key dropped, renamed or
+    retyped, a value swapped for one of another type or wrapped in a list
+    or map, or a line duplicated."""
+    data = yaml.safe_load(text)
+    for _ in range(rng.randint(1, 3)):
+        nodes = list(_nodes(data))
+        if not nodes:
+            break
+        path, value = rng.choice(nodes)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key, edit = path[-1], rng.randrange(4)
+        if edit == 0:
+            del parent[key]
+        elif edit == 1 and isinstance(parent, dict):
+            parent[rng.choice([5, "x", f"{key}_", LONG_INT])] = parent.pop(key)
+        elif edit == 2:
+            parent[key] = [value] if rng.random() < 0.5 else {"k": value}
+        else:
+            parent[key] = DEEP if rng.random() < 0.005 else copy.deepcopy(rng.choice(ODD_VALUES))
+    out = yaml.safe_dump(data, sort_keys=False)
+    if rng.random() < 0.2:
+        lines = out.splitlines(keepends=True)
+        at = rng.randrange(len(lines))
+        out = "".join(lines[:at + 1] + lines[at:])
+    return out.replace(LONG_INT, "1" * 5000).replace(DEEP, "[" * 3000 + "]" * 3000)
+
+
+def _only_authfusion_errors(call, *args):
+    try:
+        return call(*args)
+    except AuthFusionError:
+        return None
+
+
+def test_mutated_documents_load_or_raise_authfusion_error():
+    rng = random.Random(18)
+    base = {"catalog": DEFAULT_CATALOG, "policy": load_policy(POLICY),
+            "scenario": load_scenario(SCENARIO), "evidence": load_evidence(EVIDENCE)}
+    oversized = {"long": 0, "deep": 0}
+    for _ in range(40):
+        for name, (loader, text) in LOADERS.items():
+            document = _mutate(rng, text)
+            oversized["long"] += "1" * 5000 in document
+            oversized["deep"] += "[" * 3000 in document
+            loaded = _only_authfusion_errors(loader, document)
+            if loaded is None or name == "trust":
+                continue
+            run = dict(base, **{"policy" if name == "kofn" else name: loaded})
+            deployment = run["scenario"], run["catalog"], run["policy"]
+            _only_authfusion_errors(validate_scenario, *deployment)
+            _only_authfusion_errors(run_simulation, *deployment, 50, 0)
+            _only_authfusion_errors(decide, run["evidence"], run["policy"], run["catalog"])
+    # the seed reaches both inputs that once ended in a traceback
+    assert oversized["long"] and oversized["deep"], oversized

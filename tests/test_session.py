@@ -758,8 +758,7 @@ def _reference(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
     single-shard run."""
     machine, plan = _build_plan(scenario, catalog, policy)
     child = np.random.SeedSequence(seed).spawn(1)[0]
-    index = {f.id: f for f in catalog}
-    return machine, plan, _sample_shard(child, trials, plan, scenario, index)
+    return machine, plan, _sample_shard(child, trials, plan, scenario)
 
 
 def _machine_report(scenario, policy, trials, seed, catalog=DEFAULT_CATALOG):
@@ -914,7 +913,7 @@ def test_sampled_passes_equal_a_per_session_threshold_matrix(fraction):
     firings = plan.pre + plan.active
     assert len(firings) > 3
     child = np.random.SeedSequence(23).spawn(1)[0]
-    adversary, passes, _ = _sample_shard(child, 5000, plan, scenario, BY_ID)
+    adversary, passes, _ = _sample_shard(child, 5000, plan, scenario)
     rng = np.random.default_rng(child)
     adv = rng.random(5000) < fraction
     u = rng.random((5000, len(firings)))

@@ -30,12 +30,13 @@ SECONDS = 20.0
 RUNS = 3
 
 
-def run_workload(workload: str) -> dict:
-    """The JSON object on the last stdout line of one untraced run."""
+def run_workload(workload: str, root: Path = ROOT, seconds: float = SECONDS) -> dict:
+    """The JSON object on the last stdout line of one untraced run of the
+    checkout at root."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", repr(SECONDS)],
-        cwd=ROOT, capture_output=True, text=True,
+         "--seconds", repr(seconds)],
+        cwd=root, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
