@@ -20,7 +20,6 @@ from .catalog import (
     FactorCategory,
     GateResult,
     Tristate,
-    available_factors,
     catalog_index,
     catalog_to_yaml,
     gate_factors,

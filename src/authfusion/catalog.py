@@ -401,10 +401,6 @@ def catalog_index(factors: Iterable[Factor]) -> dict[str, Factor]:
 # ---------------------------------------------------------------------------
 # Context gating
 
-# Gate results kept by value, least recently used dropped first: the
-# distinct (catalog, context, rules) a process gates are few.
-GATE_MEMO_SIZE = 256
-
 
 @dataclass(frozen=True)
 class GateResult:
@@ -423,16 +419,9 @@ def gate_factors(
     """Apply phase membership and context rules to a catalog.
 
     Excluded factors are unusable in this context; penalized ones stay
-    available but are flagged for weight reduction. The result is a pure
-    function of the values passed, kept for the last GATE_MEMO_SIZE
-    distinct ones; a context that cannot be hashed (a list-valued
-    condition) is gated afresh.
+    available but are flagged for weight reduction. A context without a
+    phase gates by its conditions alone; nothing is kept between calls.
     """
-    return _gate(tuple(catalog), ctx, tuple(rules))
-
-
-@configio.memoized(GATE_MEMO_SIZE)
-def _gate(catalog: tuple[Factor, ...], ctx: ContextState, rules: tuple[ContextRule, ...]) -> GateResult:
     excluded: set[str] = set()
     penalized: set[str] = set()
     for rule in rules:
@@ -460,12 +449,3 @@ def _gate(catalog: tuple[Factor, ...], ctx: ContextState, rules: tuple[ContextRu
         excluded=frozenset(excluded),
         penalized=frozenset(penalized - excluded),
     )
-
-
-def available_factors(
-    catalog: Sequence[Factor],
-    ctx: ContextState,
-    rules: Sequence[ContextRule] = DEFAULT_CONTEXT_RULES,
-) -> list[Factor]:
-    """Subset of the catalog compatible with the context; order preserved."""
-    return list(gate_factors(catalog, ctx, rules).available)

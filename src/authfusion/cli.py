@@ -51,21 +51,21 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _digest(content: str) -> dict[str, Any]:
-    data = content.encode()
+def _digest(data: bytes) -> dict[str, Any]:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 def _write_with_manifest(files: Mapping[Path, str], manifest: RunManifest, manifest_path: Path | None = None) -> None:
-    """Write each file, then the manifest with their digests added, at
-    manifest_path or, for a lone file, beside it."""
+    """Write each file's UTF-8 bytes, then the manifest with their digests
+    added, at manifest_path or, for a lone file, beside it."""
     if manifest_path is None:
         (path,) = files
         manifest_path = path.with_name(path.name + ".manifest.json")
-    for path, content in files.items():
-        path.write_text(content)
-    outputs = {**manifest.outputs, **{path.name: _digest(content) for path, content in files.items()}}
-    manifest_path.write_text(replace(manifest, outputs=outputs).to_json())
+    data = {path: content.encode() for path, content in files.items()}
+    for path, raw in data.items():
+        path.write_bytes(raw)
+    outputs = {**manifest.outputs, **{path.name: _digest(raw) for path, raw in data.items()}}
+    manifest_path.write_bytes(replace(manifest, outputs=outputs).to_json().encode())
 
 
 def _load_catalog_arg(path: str | None) -> tuple[Factor, ...]:

@@ -41,7 +41,8 @@ DEFAULT_CONDITIONS: Mapping[str, Any] = FrozenMap(
 class ContextState:
     """Immutable context snapshot passed into gating and decisions.
 
-    Equal snapshots hash equal, so gating can be memoized by value."""
+    Equal snapshots compare and hash equal, and so do their conditions,
+    which a session machine keys its resolved factor sets on."""
 
     conditions: Mapping[str, Any] = field(default_factory=dict)
     phase: SessionPhase | None = None
@@ -96,11 +97,6 @@ class ContextRule:
             raise ConfigError("by_capability rule needs a capability name", field=self.condition)
         if self.effect is not RuleEffect.BY_CAPABILITY and self.capability:
             raise ConfigError("capability only applies to by_capability rules", field=self.condition)
-
-    def __hash__(self) -> int:
-        # equal rules share a condition name; the generated hash would walk
-        # every field, enum included, on each memoized gate
-        return hash(self.condition)
 
     def triggered(self, ctx: ContextState) -> bool:
         return ctx.condition(self.condition) == self.value

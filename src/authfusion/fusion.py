@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import configio
 from .catalog import Factor
@@ -178,14 +178,20 @@ def decide(records: Sequence[EvidenceRecord], policy: Policy, catalog: Sequence[
     return Decision(granted=granted, score=None, passed_count=passed, contributing=tuple(contributions))
 
 
+def _require_weights(ids: Iterable[str], weights: Mapping[str, float]) -> None:
+    """Raise the weighted rule's error at the first id that weights leaves out."""
+    for fid in ids:
+        if fid not in weights:
+            raise ConfigError(f"policy assigns no weight to factor '{fid}'", field=fid)
+
+
 def _weighted_terms(records: Sequence[EvidenceRecord], by_id: Mapping[str, Factor],
                     weights: Mapping[str, float], use_likelihood: bool) -> list[tuple[str, float]]:
     """(factor id, delta*mu*tau*phi) per record, phi read from weights and
     delta replaced by the likelihood under use_likelihood; no weight raises."""
+    _require_weights((rec.factor_id for rec in records), weights)
     terms = []
     for rec in records:
-        if rec.factor_id not in weights:
-            raise ConfigError(f"policy assigns no weight to factor '{rec.factor_id}'", field=rec.factor_id)
         delta = float(rec.decision)
         if use_likelihood and rec.likelihood is not None:
             delta = rec.likelihood

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import configio
 from .errors import CapacityError, ConfigError, EvaluationError
-from .fusion import Policy, StrategyKind
+from .fusion import Policy, StrategyKind, _require_weights
 
 UNDERFLOW_FLOOR = 1e-300
 
@@ -507,10 +507,9 @@ def monte_carlo_rates(
     strategy = policy.strategy
     if strategy.kind is StrategyKind.WEIGHTED:
         trust = trust or {}
+        _require_weights((f.id for f in factors), policy.weights)
         weights = []
         for f in factors:
-            if f.id not in policy.weights:
-                raise ConfigError(f"policy assigns no weight to factor '{f.id}'", field=f.id)
             tau = trust.get(f.id, 1.0)
             configio.unit_interval(tau, "trust", f.id)
             weights.append(f.vendor_accuracy * tau * policy.weights[f.id])

@@ -19,10 +19,11 @@ making reports byte-stable for a given seed at any worker count.
 Scenarios, catalogs and policies compare and hash by value, so the
 validated plan is built once per distinct deployment: run_simulation and
 time_to_grant keep the last PLAN_MEMO_SIZE plans (a constant) keyed on
-(scenario, tuple(catalog), policy), and catalog.gate_factors keeps its
-results the same way. A hit skips the scenario's checks too, since
-they are a pure function of that key and a failure is never kept.
-One-shot runs in a fresh process miss and pay the full build.
+(scenario, tuple(catalog), policy). A hit skips the scenario's checks
+too, since they are a pure function of that key and a failure is never
+kept. One-shot runs in a fresh process miss and pay the full build.
+Each machine gates its catalog once per distinct set of conditions and
+keeps the result, and the plan resolves each context stretch once.
 """
 
 from __future__ import annotations
@@ -169,6 +170,10 @@ class SessionConfig:
         return math.floor(n)
 
 
+# Resolutions one machine keeps, least recently used dropped first.
+RESOLUTION_MEMO_SIZE = 64
+
+
 @dataclass(frozen=True)
 class SessionState:
     """Immutable session snapshot. step() returns a new one."""
@@ -224,28 +229,29 @@ class SessionMachine:
         else:
             self._scope = self._catalog
         self._scope_ids = frozenset(f.id for f in self._scope)
+        # keyed on ctx.conditions: a list-valued condition resolves uncached
+        self._resolve = configio.memoized(RESOLUTION_MEMO_SIZE)(self._resolution)
         self._resolve_thresholds()
 
     # -- static context-dependent sets -------------------------------------
 
-    def _phase_ids(self, ctx: ContextState, phase: SessionPhase) -> frozenset[str]:
-        gate = gate_factors(self._catalog, ctx.with_updates({}, phase=phase), self._rules)
-        if phase is _PRE:
-            return frozenset(f.id for f in gate.available if f.action is not ActionMode.ACTIVE)
-        return frozenset(f.id for f in gate.available)
+    def _resolution(self, conditions: Mapping[str, Any]) -> dict[SessionPhase, tuple[str, ...]]:
+        """The ids whose evidence each phase scores under conditions, in
+        catalog order: the passive-capable usable ones before the decision,
+        the in-scope usable ones it expects, and the usable ones after it.
+        One gate with no phase serves all three, since a phase only drops
+        the factors that cannot run in it."""
+        usable = gate_factors(self._catalog, ContextState(conditions=conditions), self._rules).available
+        return {
+            _PRE: tuple(f.id for f in usable if _PRE in f.phases and f.action is not ActionMode.ACTIVE),
+            _ACT: tuple(f.id for f in usable if _ACT in f.phases and f.id in self._scope_ids),
+            _MON: tuple(f.id for f in usable if _MON in f.phases),
+        }
 
     def expected_factors(self, ctx: ContextState | None = None) -> tuple[str, ...]:
         """Factors whose evidence the active-phase decision waits for."""
         ctx = ctx if ctx is not None else self._ctx
-        usable = self._phase_ids(ctx, _ACT)
-        return tuple(f.id for f in self._catalog if f.id in usable and f.id in self._scope_ids)
-
-    def effective_policy(self, ctx: ContextState | None = None) -> Policy:
-        """The policy with context-adapted weights (weighted rule only)."""
-        ctx = ctx if ctx is not None else self._ctx
-        if not self._weighted:
-            return self._policy
-        return self._policy.with_weights(self._weights(ctx))
+        return self._resolve(ctx.conditions)[_ACT]
 
     def _weights(self, ctx: ContextState) -> dict[str, float]:
         """The scope's weights adapted to ctx's conditions (phase aside)."""
@@ -312,12 +318,8 @@ class SessionMachine:
     def _arrival(self, state: SessionState, rec: EvidenceRecord, ctx: ContextState, at: float) -> SessionState:
         if rec.factor_id not in self._index:
             raise ConfigError(f"evidence references unknown factor '{rec.factor_id}'", field=rec.factor_id)
-        if state.phase is _PRE:
-            scorable = rec.factor_id in self._phase_ids(ctx, _PRE)
-        elif state.phase is _ACT:
-            scorable = rec.factor_id in self.expected_factors(ctx)
-        else:
-            scorable = rec.factor_id in self._phase_ids(ctx, _MON)
+        scoring = self._resolve(ctx.conditions)[state.phase]
+        scorable = rec.factor_id in scoring
         state = replace(
             state,
             elapsed=at,
@@ -335,9 +337,8 @@ class SessionMachine:
             return state
         if state.phase is _ACT:
             latest = self._latest(state)
-            expected = self.expected_factors(ctx)
             state = replace(state, score=self._aggregate(latest, ctx))
-            if all(fid in latest for fid in expected):
+            if all(fid in latest for fid in scoring):
                 return self._decide_full(state, ctx, at)
             return state
         # monitoring: any failed validation revokes on the spot
@@ -370,7 +371,8 @@ class SessionMachine:
             latest.get(fid, EvidenceRecord(factor_id=fid, decision=0, observed_at=at))
             for fid in expected
         ]
-        decision = decide(records, self.effective_policy(ctx), self._catalog)
+        policy = self._policy.with_weights(self._weights(ctx)) if self._weighted else self._policy
+        decision = decide(records, policy, self._catalog)
         score = decision.score if decision.score is not None else float(decision.passed_count)
         if not decision.granted:
             return replace(state, score=score, terminal=Terminal.DENIED)
@@ -536,13 +538,11 @@ def load_scenario(source: str) -> Scenario:
 def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> list[str]:
     """Every problem found, as messages; empty means runnable. Once the
     static checks pass, the one left to report is the plan build's error."""
-    problems = _static_problems(scenario, catalog, policy)
-    if not problems:
-        try:
-            _plan_memo(scenario, tuple(catalog), policy)
-        except AuthFusionError as exc:
-            problems.append(str(exc))
-    return problems
+    try:
+        _plan_memo(scenario, tuple(catalog), policy)
+    except AuthFusionError as exc:
+        return _static_problems(scenario, catalog, policy) or [str(exc)]
+    return []
 
 
 def _static_problems(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> list[str]:
@@ -652,6 +652,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     if machine._weighted:
         machine._weights(ctx)  # fails if the initial context leaves no usable factor
     timeline = _context_timeline(scenario)
+    resolved = [machine._resolve(now.conditions) for _, now in timeline]
 
     def context_at(at: float) -> tuple[int, ContextState]:
         # the walk the stepped reference makes: every change up to and including `at`
@@ -669,16 +670,14 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     def firing(f: Factor, at: float) -> _Firing:
         return _Firing(f.id, at, scenario.trust.get(f.id, 1.0), f.far, f.frr)
 
-    pre_ids = machine._phase_ids(ctx, _PRE)
-    pre = tuple(firing(f, f.duration.seconds) for f in chosen if f.id in pre_ids)
+    pre = tuple(firing(f, f.duration.seconds) for f in chosen if f.id in resolved[0][_PRE])
     pre_end = max((x.at for x in pre), default=0.0)
 
-    expected = machine.expected_factors(ctx)
     # pre evidence that will still be fresh at the phase transition covers
     # its factor; the rest must be produced during active authentication
     cutoff = pre_end - scenario.config.staleness_horizon
     fresh = {x.factor_id for x in pre if x.at >= cutoff}
-    needed = [fid for fid in expected if fid not in fresh]
+    needed = [fid for fid in resolved[0][_ACT] if fid not in fresh]
     active = tuple(
         firing(index[fid], pre_end + index[fid].duration.seconds)
         for fid in needed
@@ -701,7 +700,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     scored, pre_scores, basic = [], [], {}
     for col in sorted(range(len(pre)), key=lambda c: pre[c].at):
         stretch, now = context_at(pre[col].at)
-        if pre[col].factor_id in machine._phase_ids(now, _PRE):
+        if pre[col].factor_id in resolved[stretch][_PRE]:
             scored.append(col)
             pre_scores.append(score(pre[col].at, now, scored))
             basic[stretch] = pre_scores[-1]
@@ -710,20 +709,17 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     order = sorted(range(len(active)), key=lambda j: active[j].at)
     decided_at, late = active_end, []
     for pos, j in enumerate(order):
-        wanted = machine.expected_factors(context_at(active[j].at)[1])
+        wanted = resolved[context_at(active[j].at)[0]][_ACT]
         if active[j].factor_id in wanted:
             present[active[j].factor_id] = len(pre) + j
             if all(fid in present for fid in wanted):
                 decided_at, late = active[j].at, order[pos + 1:]
                 break
-    now = context_at(decided_at)[1]
-    decided_on = machine.expected_factors(now)
-
-    def monitorable(fid: str, at: float) -> bool:
-        return fid in machine._phase_ids(context_at(at)[1], _MON)
+    stretch, now = context_at(decided_at)
+    decided_on = resolved[stretch][_ACT]
 
     monitor_factor = scenario.monitor_factor
-    mon_ids = machine._phase_ids(ctx, _MON)
+    mon_ids = resolved[0][_MON]
     if monitor_factor is not None and monitor_factor not in mon_ids:
         raise ConfigError(
             f"monitor_factor '{monitor_factor}' is unusable in the monitoring phase under this context",
@@ -741,7 +737,7 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         pre_scores=tuple(pre_scores),
         basic=tuple(basic.values()),
         decision=score(decided_at, now, [present[fid] for fid in decided_on if fid in present]),
-        late=tuple((len(pre) + j, monitorable(active[j].factor_id, active[j].at)) for j in late),
+        late=tuple((len(pre) + j, active[j].factor_id in resolved[context_at(active[j].at)[0]][_MON]) for j in late),
         interval=scenario.config.monitor.check_interval,
         n_checks=n_checks,
         scorable=(),
@@ -759,8 +755,8 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
               for at in accumulate((at for at, _ in timeline), max)]
     scorable = tuple(
         (lo, hi)
-        for lo, hi, (_, now) in zip(starts, starts[1:] + [n_checks], timeline)
-        if lo < hi and monitor_factor in machine._phase_ids(now, _MON)
+        for lo, hi, ids in zip(starts, starts[1:] + [n_checks], resolved)
+        if lo < hi and monitor_factor in ids[_MON]
     )
     return machine, replace(plan, scorable=scorable)
 

@@ -27,7 +27,7 @@ from . import configio
 from .catalog import Factor, gate_factors
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState
 from .errors import ConfigError, NoUsableFactorsError
-from .fusion import Policy, StrategyKind
+from .fusion import Policy, StrategyKind, _require_weights
 
 
 class SourceClass(Enum):
@@ -236,11 +236,8 @@ def effective_weights(
     """
     configio.positive_fraction(penalty, "penalty")
     if policy.strategy.kind is StrategyKind.WEIGHTED:
-        configured = {}
-        for f in catalog:
-            if f.id not in policy.weights:
-                raise ConfigError(f"policy assigns no weight to factor '{f.id}'", field=f.id)
-            configured[f.id] = policy.weights[f.id]
+        _require_weights((f.id for f in catalog), policy.weights)
+        configured = {f.id: policy.weights[f.id] for f in catalog}
     else:
         configured = {f.id: 1.0 for f in catalog}
 

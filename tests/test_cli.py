@@ -398,3 +398,20 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(runs[0][1]) == ["simulate/manifest.json", "simulate/report.csv", "simulate/summary.txt",
                                   "sweep.csv", "sweep.csv.manifest.json"]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "catalog export"])
+def test_outputs_are_written_as_the_utf8_bytes_the_manifest_hashes(tmp_path, command):
+    # with EncodingWarning raised as an error, any write in the locale's
+    # encoding exits 1; the warning is how that shows on a UTF-8-only host
+    if command == "simulate":
+        args = ["simulate", "--scenario", write(tmp_path, "scenario.yaml", SCENARIO),
+                "--policy", write(tmp_path, "policy.yaml", WEIGHTED_POLICY), "--trials", "100",
+                "--seed", "3", "--out", str(tmp_path / "out")]
+    else:
+        args = [*command.split(), "--out", str(tmp_path / "out.txt")]
+    src = os.path.dirname(os.path.dirname(authfusion.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                           "-m", "authfusion.cli", *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr

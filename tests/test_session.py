@@ -1382,3 +1382,78 @@ def test_equal_deployments_hash_equal():
     for a, b in zip(deployment(0.0, 1.0, True), deployment(-0.0, 1, 1)):
         assert a == b
         assert hash(a) == hash(b)
+
+
+def test_validate_scenario_runs_the_static_checks_once_on_a_miss_and_never_on_a_hit(builds, monkeypatch):
+    calls = []
+    static = session._static_problems
+    monkeypatch.setattr(session, "_static_problems", lambda *args: calls.append(args) or static(*args))
+    policy = Policy(Strategy.k_of_n(2))
+    assert validate_scenario(Scenario(), DEFAULT_CATALOG, policy) == []
+    assert len(calls) == 1
+    assert validate_scenario(Scenario(), DEFAULT_CATALOG, policy) == []
+    assert len(calls) == 1
+
+
+# -- one resolution per set of conditions -------------------------------------
+
+
+@pytest.fixture
+def gates(monkeypatch):
+    """The context of every gate_factors call that session makes."""
+    calls = []
+    gate = session.gate_factors
+
+    def counted(catalog, ctx, rules):
+        calls.append(ctx)
+        return gate(catalog, ctx, rules)
+
+    monkeypatch.setattr(session, "gate_factors", counted)
+    return calls
+
+
+def _session_events(rng):
+    return [ev("token", rng.randint(0, 1), 0.5), ev("facial", rng.randint(0, 1), 8.0),
+            PhaseTimeout(8.0, PRE), ev("pin_code", rng.randint(0, 1), 8.5),
+            ev("facial", rng.randint(0, 1), 16.0), PhaseTimeout(20.0, ACT),
+            ev("token", rng.randint(0, 1), 100.0), PhaseTimeout(200.0, MON)]
+
+
+def test_a_machine_gates_once_per_set_of_conditions(gates):
+    m = SessionMachine(CATALOG3, W_POLICY)
+    rng = random.Random(5)
+    # equal conditions built afresh for every session
+    sessions = [(_session_events(rng), {"darkness": i % 2 == 1}) for i in range(40)]
+    finals = [m.run(events, ContextState(dict(conditions))) for events, conditions in sessions]
+    assert len(gates) == 2
+    assert {ctx.conditions["darkness"] for ctx in gates} == {False, True}
+    for (events, conditions), final in zip(sessions, finals):
+        assert SessionMachine(CATALOG3, W_POLICY).run(events, ContextState(conditions)) == final
+    assert {final.terminal for final in finals} == set(Terminal)
+
+
+def test_a_machine_keeps_at_most_its_bound_of_resolutions(gates):
+    m = SessionMachine(CATALOG3, Policy(Strategy.k_of_n(2)))
+    for i in range(session.RESOLUTION_MEMO_SIZE + 5):
+        assert m.expected_factors(ContextState.nominal(zone=i)) == ("token", "facial", "pin_code")
+    info = m._resolve.cache_info()
+    assert info.maxsize == info.currsize == session.RESOLUTION_MEMO_SIZE
+    assert len(gates) == 1 + session.RESOLUTION_MEMO_SIZE + 5  # one for the machine's own context
+
+
+def test_a_list_valued_condition_steps_uncached(gates):
+    m = SessionMachine(CATALOG3, W_POLICY)
+    events = _session_events(random.Random(8))
+    listed = ContextState.nominal(darkness=True, zones=["a", "b"])
+    first = m.run(events, listed)
+    per_run = len(gates)
+    assert m.run(events, listed) == first == m.run(events, ContextState.nominal(darkness=True))
+    assert m._resolve.cache_info().currsize == 1  # the hashable context only
+    assert len(gates) == 2 * per_run + 1 and per_run > 1
+
+
+def test_the_plan_gates_once_per_context_stretch(gates):
+    scenario = Scenario(context_changes=((5.0, {"darkness": True}), (9.0, {"gloves_worn": True})))
+    _build_plan(scenario, DEFAULT_CATALOG, Policy(Strategy.k_of_n(2)))
+    assert [(ctx.conditions["darkness"], ctx.conditions["gloves_worn"]) for ctx in gates] == [
+        (False, False), (True, False), (True, True)]
