@@ -260,11 +260,6 @@ DEFAULT_CATALOG: tuple[Factor, ...] = (
 )
 
 
-def default_catalog() -> list[Factor]:
-    """A fresh list view of the built-in catalog."""
-    return list(DEFAULT_CATALOG)
-
-
 # ---------------------------------------------------------------------------
 # Catalog file parsing / serialization
 

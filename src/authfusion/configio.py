@@ -26,6 +26,8 @@ from .errors import ConfigError
 
 # Maps key paths like ("factors", 3, "far") to 1-based line numbers.
 LineMap = dict[tuple, int]
+# Deepest flow nesting read; PyYAML's composer fails near 500, after a scan quadratic in the depth.
+MAX_FLOW_DEPTH = 512
 
 
 def dotted(path: tuple) -> str:
@@ -127,6 +129,13 @@ def read_text(path: str | Path) -> str:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
+class _Loader(yaml.SafeLoader):
+    def fetch_flow_collection_start(self, TokenClass):
+        if self.flow_level >= MAX_FLOW_DEPTH:
+            raise yaml.scanner.ScannerError(problem="nested too deeply to parse", problem_mark=self.get_mark())
+        super().fetch_flow_collection_start(TokenClass)
+
+
 def load_document(text: str, *, what: str = "document") -> tuple[Any, LineMap]:
     """Parse a single YAML document, returning (data, line map).
 
@@ -136,7 +145,7 @@ def load_document(text: str, *, what: str = "document") -> tuple[Any, LineMap]:
     A node reached again through an alias is converted once: its value is
     shared, and the line map holds its keys under the first path only.
     """
-    loader = yaml.SafeLoader(text)
+    loader = _Loader(text)
     try:
         node = loader.get_single_node()
         if node is None:

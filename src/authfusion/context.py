@@ -65,9 +65,9 @@ class ContextState:
         except KeyError:
             raise ConfigError(f"context does not declare condition '{name}'", field=name) from None
 
-    def with_updates(self, updates: Mapping[str, Any], phase: SessionPhase | None = None) -> "ContextState":
+    def with_updates(self, updates: Mapping[str, Any]) -> "ContextState":
         conditions = FrozenMap({**self.conditions, **updates}) if updates else self.conditions
-        return ContextState(conditions=conditions, phase=phase if phase is not None else self.phase)
+        return ContextState(conditions=conditions, phase=self.phase)
 
 
 class RuleEffect(Enum):

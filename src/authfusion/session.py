@@ -29,10 +29,11 @@ keeps the result, and the plan resolves each context stretch once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from itertools import accumulate
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -174,6 +175,21 @@ class SessionConfig:
 RESOLUTION_MEMO_SIZE = 64
 
 
+def _resolution(catalog: Sequence[Factor], scope_ids: frozenset[str], rules: Sequence[ContextRule],
+                conditions: Mapping[str, Any]) -> dict[SessionPhase, tuple[str, ...]]:
+    """The ids whose evidence each phase scores under conditions, in
+    catalog order: the passive-capable usable ones before the decision,
+    the usable ones in scope_ids that it expects, and the usable ones
+    after it. One gate with no phase serves all three, since a phase only
+    drops the factors that cannot run in it."""
+    usable = gate_factors(catalog, ContextState(conditions=conditions), rules).available
+    return {
+        _PRE: tuple(f.id for f in usable if _PRE in f.phases and f.action is not ActionMode.ACTIVE),
+        _ACT: tuple(f.id for f in usable if _ACT in f.phases and f.id in scope_ids),
+        _MON: tuple(f.id for f in usable if _MON in f.phases),
+    }
+
+
 @dataclass(frozen=True)
 class SessionState:
     """Immutable session snapshot. step() returns a new one."""
@@ -202,7 +218,8 @@ class SessionMachine:
     revokes on any failed validation from a monitoring-capable factor,
     and a session that reaches its monitoring deadline ends Granted.
     Evidence from factors outside the current phase's usable set is
-    recorded but flagged and never scored.
+    recorded but flagged and never scored. The machine keeps its last
+    RESOLUTION_MEMO_SIZE resolutions in a memo that does not refer to it.
     """
 
     def __init__(
@@ -230,23 +247,10 @@ class SessionMachine:
             self._scope = self._catalog
         self._scope_ids = frozenset(f.id for f in self._scope)
         # keyed on ctx.conditions: a list-valued condition resolves uncached
-        self._resolve = configio.memoized(RESOLUTION_MEMO_SIZE)(self._resolution)
+        self._resolve = configio.memoized(RESOLUTION_MEMO_SIZE)(partial(_resolution, self._catalog, self._scope_ids, self._rules))
         self._resolve_thresholds()
 
     # -- static context-dependent sets -------------------------------------
-
-    def _resolution(self, conditions: Mapping[str, Any]) -> dict[SessionPhase, tuple[str, ...]]:
-        """The ids whose evidence each phase scores under conditions, in
-        catalog order: the passive-capable usable ones before the decision,
-        the in-scope usable ones it expects, and the usable ones after it.
-        One gate with no phase serves all three, since a phase only drops
-        the factors that cannot run in it."""
-        usable = gate_factors(self._catalog, ContextState(conditions=conditions), self._rules).available
-        return {
-            _PRE: tuple(f.id for f in usable if _PRE in f.phases and f.action is not ActionMode.ACTIVE),
-            _ACT: tuple(f.id for f in usable if _ACT in f.phases and f.id in self._scope_ids),
-            _MON: tuple(f.id for f in usable if _MON in f.phases),
-        }
 
     def expected_factors(self, ctx: ContextState | None = None) -> tuple[str, ...]:
         """Factors whose evidence the active-phase decision waits for."""
@@ -271,14 +275,6 @@ class SessionMachine:
             raise ConfigError(f"t_basic={basic} must stay below {bound}", field="session.t_basic")
         self.t_basic = basic
         self.t_full = full
-
-    @property
-    def config(self) -> SessionConfig:
-        return self._config
-
-    @property
-    def context(self) -> ContextState:
-        return self._ctx
 
     # -- transitions --------------------------------------------------------
 
@@ -646,20 +642,18 @@ def _context_timeline(scenario: Scenario) -> list[tuple[float, ContextState]]:
 
 
 def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -> tuple[SessionMachine, _Plan]:
-    ctx = scenario.initial_context()
-    machine = SessionMachine(catalog, policy, ctx=ctx, config=scenario.config)
+    timeline = _context_timeline(scenario)
+    machine = SessionMachine(catalog, policy, ctx=timeline[0][1], config=scenario.config)
     index = machine._index
     if machine._weighted:
-        machine._weights(ctx)  # fails if the initial context leaves no usable factor
-    timeline = _context_timeline(scenario)
+        machine._weights(timeline[0][1])  # fails if the initial context leaves no usable factor
     resolved = [machine._resolve(now.conditions) for _, now in timeline]
+    # stretch i starts at the running max of the change times up to i, so
+    # the stretch in force at t follows every change up to and including t
+    starts_at = list(accumulate((at for at, _ in timeline), max))
 
-    def context_at(at: float) -> tuple[int, ContextState]:
-        # the walk the stepped reference makes: every change up to and including `at`
-        i = 0
-        while i + 1 < len(timeline) and timeline[i + 1][0] <= at:
-            i += 1
-        return i, timeline[i][1]
+    def stretch_at(at: float) -> int:
+        return bisect_right(starts_at, at) - 1
 
     if scenario.factors is not None:
         chosen = [index[fid] for fid in scenario.factors]
@@ -687,11 +681,11 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     firings = pre + active
     mu_tau = [index[x.factor_id].vendor_accuracy * x.trust for x in firings]
 
-    def score(at: float, now: ContextState, cols) -> _Score:
+    def score(at: float, stretch: int, cols) -> _Score:
         cols = tuple(sorted(cols))
         if not (machine._weighted and cols):
             return _Score(at, cols, ())
-        phi = machine._weights(now)
+        phi = machine._weights(timeline[stretch][1])
         return _Score(at, cols, tuple(mu_tau[c] * phi.get(firings[c].factor_id, 0.0) for c in cols))
 
     # each scorable pre arrival rescores the scorable evidence so far under
@@ -699,24 +693,24 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
     # stretch the score never falls
     scored, pre_scores, basic = [], [], {}
     for col in sorted(range(len(pre)), key=lambda c: pre[c].at):
-        stretch, now = context_at(pre[col].at)
+        stretch = stretch_at(pre[col].at)
         if pre[col].factor_id in resolved[stretch][_PRE]:
             scored.append(col)
-            pre_scores.append(score(pre[col].at, now, scored))
+            pre_scores.append(score(pre[col].at, stretch, scored))
             basic[stretch] = pre_scores[-1]
 
     present = {pre[c].factor_id: c for c in scored if pre[c].at >= cutoff}
     order = sorted(range(len(active)), key=lambda j: active[j].at)
     decided_at, late = active_end, []
     for pos, j in enumerate(order):
-        wanted = resolved[context_at(active[j].at)[0]][_ACT]
+        wanted = resolved[stretch_at(active[j].at)][_ACT]
         if active[j].factor_id in wanted:
             present[active[j].factor_id] = len(pre) + j
             if all(fid in present for fid in wanted):
                 decided_at, late = active[j].at, order[pos + 1:]
                 break
-    stretch, now = context_at(decided_at)
-    decided_on = resolved[stretch][_ACT]
+    decided_in = stretch_at(decided_at)
+    decided_on = resolved[decided_in][_ACT]
 
     monitor_factor = scenario.monitor_factor
     mon_ids = resolved[0][_MON]
@@ -736,8 +730,8 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
         active_end=active_end,
         pre_scores=tuple(pre_scores),
         basic=tuple(basic.values()),
-        decision=score(decided_at, now, [present[fid] for fid in decided_on if fid in present]),
-        late=tuple((len(pre) + j, active[j].factor_id in resolved[context_at(active[j].at)[0]][_MON]) for j in late),
+        decision=score(decided_at, decided_in, [present[fid] for fid in decided_on if fid in present]),
+        late=tuple((len(pre) + j, active[j].factor_id in resolved[stretch_at(active[j].at)][_MON]) for j in late),
         interval=scenario.config.monitor.check_interval,
         n_checks=n_checks,
         scorable=(),
@@ -749,10 +743,8 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
                    else max(policy.strategy.passes_needed(len(decided_on)), 1) - 1),
         t_basic=machine.t_basic,
     )
-    # context stretch i covers the checks timed from its change up to the
-    # next one; the running max reproduces context_at's walk
-    starts = [bisect_left(range(n_checks), at, key=plan.check_time)
-              for at in accumulate((at for at, _ in timeline), max)]
+    # context stretch i covers the checks timed from its start up to the next one
+    starts = [bisect_left(range(n_checks), at, key=plan.check_time) for at in starts_at]
     scorable = tuple(
         (lo, hi)
         for lo, hi, ids in zip(starts, starts[1:] + [n_checks], resolved)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 import yaml
@@ -470,10 +471,39 @@ def test_nesting_too_deep_to_parse_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_deep_flow_nesting_is_refused_at_the_cap(monkeypatch):
+    # the scanner stops at the first '[' past the cap instead of scanning
+    # all 3,000 levels, in time quadratic in the depth, for the composer
+    # to fail on
+    levels = []
+    fetch = configio._Loader.fetch_flow_collection_start
+
+    def counted(self, token_class):
+        levels.append(self.flow_level)
+        return fetch(self, token_class)
+
+    monkeypatch.setattr(configio._Loader, "fetch_flow_collection_start", counted)
+    with pytest.raises(ConfigError, match="malformed scenario: nested too deeply to parse") as err:
+        load_scenario("schema_version: 1\nname:\n  " + "[" * 3000 + "]" * 3000 + "\n")
+    assert err.value.line == 3
+    assert len(levels) <= configio.MAX_FLOW_DEPTH + 1
+    # the deepest flow nesting PyYAML composes from a shallow stack, such
+    # as a new thread's, still loads
+    loaded = []
+    thread = threading.Thread(target=lambda: loaded.extend(configio.load_document("[" * 493 + "]" * 493)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and loaded
+    data, depth = loaded[0], 0
+    while data:
+        data, depth = data[0], depth + 1
+    assert depth == 493 - 1
+
+
 # Stand-ins that the fuzz swaps for text yaml.safe_dump cannot write: an
 # integer past Python's 4,300-digit conversion limit and a flow sequence
-# nested deeper than PyYAML's composer recurses. PyYAML scans the deep one
-# in time quadratic in its depth, about a second, so it is drawn rarely.
+# nested deeper than PyYAML's composer recurses. The loader refuses the deep
+# one at its first '[' past its cap, in milliseconds; it is drawn rarely.
 LONG_INT, DEEP = "zzlongintzz", "zzdeepzz"
 ODD_VALUES = [None, True, 0, -1, 2, 1.5, -0.5, 1e308, float("inf"), float("nan"), "", "token", "all",
               "1" + "0" * 400, [], {}, [1, "x"], {"a": 1}, LONG_INT]

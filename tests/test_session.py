@@ -1,11 +1,13 @@
 """Session machine transitions, scenario handling, and the simulator."""
 
+import gc
 import math
 import os
 import random
 import statistics
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -868,6 +870,35 @@ def test_context_changes_around_the_decision_agree_with_the_machine():
         assert timing == _machine_timing(scenario, policy, 500, 9, catalog)
 
 
+def test_change_times_on_stretch_boundaries_agree_with_the_machine():
+    # token arrives at 0.5, voice and facial at 8.0 (the end of pre),
+    # pin_code and fingerprint at 8.5 (the decision), and checks run at
+    # 38.5, 68.5, ...: changes at t=0, several at one instant, and changes
+    # exactly on an arrival or a check must all follow every change up to
+    # and including that time, as the stepped machine does
+    catalog = [BY_ID[fid] for fid in ("token", "facial", "pin_code", "fingerprint", "voice")]
+    ids = tuple(f.id for f in catalog)
+    config = SessionConfig(
+        monitor=MonitorConfig(window=60.0, check_interval=30.0, false_alarm=0.2),
+        monitoring_horizon=120.0,
+    )
+    changes = (
+        ((0.0, {"darkness": True}),),
+        ((8.0, {"darkness": True}), (8.0, {"gloves_worn": True}), (8.0, {"darkness": False})),
+        ((0.5, {"darkness": True}), (8.5, {"gloves_worn": True}),
+         (38.5, {"darkness": False, "gloves_worn": False})),
+    )
+    policies = (Policy(Strategy.weighted(1.5), {fid: 1.0 for fid in ids}), Policy(Strategy.k_of_n(2)))
+    for context_changes in changes:
+        scenario = Scenario(adversary_fraction=0.3, factors=ids, monitor_factor="token",
+                            context_changes=context_changes, config=config)
+        for policy in policies:
+            report = run_simulation(scenario, catalog, policy, trials=2000, seed=3)
+            assert report == _machine_report(scenario, policy, 2000, 3, catalog), context_changes
+            timing = time_to_grant(scenario, catalog, policy, trials=300, seed=4)
+            assert timing == _machine_timing(scenario, policy, 300, 4, catalog), context_changes
+
+
 def test_shard_pool_is_clamped(monkeypatch):
     sizes = []
 
@@ -1439,6 +1470,20 @@ def test_a_machine_keeps_at_most_its_bound_of_resolutions(gates):
     info = m._resolve.cache_info()
     assert info.maxsize == info.currsize == session.RESOLUTION_MEMO_SIZE
     assert len(gates) == 1 + session.RESOLUTION_MEMO_SIZE + 5  # one for the machine's own context
+
+
+def test_a_dropped_machine_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        m = SessionMachine(CATALOG3, W_POLICY)
+        for dark in (False, True):
+            m.expected_factors(ContextState.nominal(darkness=dark))
+        assert m._resolve.cache_info().currsize == 2
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_list_valued_condition_steps_uncached(gates):

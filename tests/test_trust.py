@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from authfusion import trust
-from authfusion.catalog import DEFAULT_CATALOG, default_catalog
+from authfusion.catalog import DEFAULT_CATALOG
 from authfusion.context import ContextState
 from authfusion.errors import ConfigError, NoUsableFactorsError
 from authfusion.fusion import Policy, Strategy
@@ -321,7 +321,7 @@ def test_weight_conservation_property():
     # whatever the context knocks out, the total effective weight matches
     # the configured total, so a fixed threshold keeps its meaning
     rng = random.Random(20260814)
-    full = default_catalog()
+    full = list(DEFAULT_CATALOG)
     for _ in range(300):
         catalog = rng.sample(full, rng.randint(3, len(full)))
         weights = {f.id: rng.uniform(0.1, 3.0) for f in catalog}
