@@ -91,15 +91,20 @@ class Policy:
     use_likelihood: bool = False
 
     def __post_init__(self):
-        for fid, phi in self.weights.items():
-            if not isinstance(phi, (int, float)) or isinstance(phi, bool):
-                raise ConfigError("weight must be a number", field=f"weights.{fid}")
-            configio.non_negative(phi, "weights", fid)
-        configio.finite_sum(self.weights.values(), "weights")
-        object.__setattr__(self, "weights", configio.FrozenMap(self.weights))
+        if type(self.weights) is not _CheckedWeights:  # else another policy's, checked there
+            for fid, phi in self.weights.items():
+                if not isinstance(phi, (int, float)) or isinstance(phi, bool):
+                    raise ConfigError("weight must be a number", field=f"weights.{fid}")
+                configio.non_negative(phi, "weights", fid)
+            configio.finite_sum(self.weights.values(), "weights")
+            object.__setattr__(self, "weights", _CheckedWeights(self.weights))
 
     def with_weights(self, weights: Mapping[str, float]) -> "Policy":
-        return Policy(self.strategy, dict(weights), self.use_likelihood)
+        return Policy(self.strategy, weights, self.use_likelihood)
+
+
+class _CheckedWeights(configio.FrozenMap):
+    __slots__ = ()  # weights that met Policy's rule; only Policy.__post_init__ makes one
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,8 @@ class EvidenceRecord:
     def __post_init__(self):
         if self.decision not in (0, 1):
             raise ConfigError("decision must be 0 or 1", field=f"{self.factor_id}.decision")
-        object.__setattr__(self, "decision", int(self.decision))
+        if type(self.decision) is not int:
+            object.__setattr__(self, "decision", int(self.decision))
         if self.likelihood is not None:
             configio.unit_interval(self.likelihood, self.factor_id, "likelihood")
         configio.unit_interval(self.trust, self.factor_id, "trust")

@@ -257,10 +257,9 @@ class SessionMachine:
         ctx = ctx if ctx is not None else self._ctx
         return self._resolve(ctx.conditions)[_ACT]
 
-    def _weights(self, ctx: ContextState) -> dict[str, float]:
+    def _weights(self, ctx: ContextState) -> Mapping[str, float]:
         """The scope's weights adapted to ctx's conditions (phase aside)."""
-        flat = ContextState(conditions=ctx.conditions)
-        return effective_weights(self._policy, self._scope, flat, self._rules)
+        return effective_weights(self._policy, self._scope, ContextState(conditions=ctx.conditions), self._rules)
 
     def _resolve_thresholds(self) -> None:
         if self._weighted:

@@ -225,15 +225,22 @@ def effective_weights(
     ctx: ContextState,
     rules: Sequence[ContextRule] = DEFAULT_CONTEXT_RULES,
     penalty: float = PENALTY_MULTIPLIER,
-) -> dict[str, float]:
+) -> Mapping[str, float]:
     """Adapt policy weights to the context; total weight is conserved.
 
     Context-excluded factors get weight 0 and penalized ones are scaled by
     `penalty`; surviving weights are then renormalized so their sum equals
     the configured total, keeping the threshold T comparable across
     contexts. Weighted policies must assign a weight to every catalog
-    factor; counting policies default each factor to weight 1.
+    factor; counting policies default each factor to weight 1. The last 64
+    results are memoized by value (a -0.0 weight can come back as 0.0) and
+    read-only; with_weights takes those that met the policy rule unchecked.
     """
+    return _adapted_weights(policy, tuple(catalog), ctx, tuple(rules), penalty)
+
+
+@configio.memoized(64)  # as many as a session machine keeps resolutions
+def _adapted_weights(policy: Policy, catalog: tuple, ctx: ContextState, rules: tuple, penalty: float) -> Mapping[str, float]:
     configio.positive_fraction(penalty, "penalty")
     if policy.strategy.kind is StrategyKind.WEIGHTED:
         _require_weights((f.id for f in catalog), policy.weights)
@@ -258,4 +265,7 @@ def effective_weights(
     out = {f.id: 0.0 for f in catalog}
     for fid, phi in adjusted.items():
         out[fid] = phi * scale
-    return out
+    try:
+        return policy.with_weights(out).weights
+    except ConfigError:  # an overflowed weight, refused where with_weights is given it
+        return configio.FrozenMap(out)

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from authfusion import configio
 from authfusion.catalog import (
     ActionMode,
     CAPS_PIN,
@@ -157,6 +159,22 @@ def test_evidence_record_validation():
         EvidenceRecord(factor_id="a", decision=1, likelihood=1.5)
     with pytest.raises(ConfigError):
         EvidenceRecord(factor_id="a", decision=1, trust=-0.1)
+
+
+def test_only_a_policy_skips_its_own_weight_rule():
+    # a policy's weights pass unchecked into another policy; nothing else does
+    for bad in (configio.FrozenMap({"a": -1.0}), {"a": math.inf}, {"a": True}):
+        with pytest.raises(ConfigError):
+            Policy(Strategy.weighted(1.0), bad)
+    policy = Policy(Strategy.weighted(1.0), {"a": 1.0})
+    with pytest.raises(ConfigError, match="weights.a: must be finite and non-negative"):
+        policy.with_weights({"a": -1.0})
+    assert policy.with_weights(policy.weights).weights is policy.weights
+    for decision in (True, np.int64(1), 1):
+        record = EvidenceRecord("x", decision)
+        assert record.decision == 1 and type(record.decision) is int
+    with pytest.raises(ConfigError):
+        EvidenceRecord("x", 2)
 
 
 def random_setup(rng, n):

@@ -9,9 +9,9 @@ import pytest
 
 from authfusion import trust
 from authfusion.catalog import DEFAULT_CATALOG
-from authfusion.context import ContextState
+from authfusion.context import ContextState, SessionPhase
 from authfusion.errors import ConfigError, NoUsableFactorsError
-from authfusion.fusion import Policy, Strategy
+from authfusion.fusion import EvidenceRecord, Policy, Strategy, decide
 from authfusion.trust import (
     DEFAULT_TRUST_LEVELS,
     PROMOTION_THRESHOLD,
@@ -317,6 +317,15 @@ def test_effective_weights_requires_every_weight():
         effective_weights(policy, catalog, ContextState.nominal())
 
 
+def _random_conditions(rng):
+    return {
+        "gloves_worn": rng.random() < 0.4,
+        "darkness": rng.random() < 0.4,
+        "precipitation": rng.random() < 0.3,
+        "noise_level": "high" if rng.random() < 0.4 else "low",
+    }
+
+
 def test_weight_conservation_property():
     # whatever the context knocks out, the total effective weight matches
     # the configured total, so a fixed threshold keeps its meaning
@@ -326,12 +335,7 @@ def test_weight_conservation_property():
         catalog = rng.sample(full, rng.randint(3, len(full)))
         weights = {f.id: rng.uniform(0.1, 3.0) for f in catalog}
         policy = weighted_policy(weights, threshold=2.0)
-        ctx = ContextState.nominal(
-            gloves_worn=rng.random() < 0.4,
-            darkness=rng.random() < 0.4,
-            precipitation=rng.random() < 0.3,
-            noise_level="high" if rng.random() < 0.4 else "low",
-        )
+        ctx = ContextState.nominal(**_random_conditions(rng))
         try:
             out = effective_weights(policy, catalog, ctx)
         except NoUsableFactorsError:
@@ -345,3 +349,89 @@ def test_weight_conservation_property():
             if phi == 0.0:
                 continue
             assert weights[fid] > 0.0
+
+
+def test_memoized_weights_match_a_fresh_computation():
+    # 3 policies x 2 scopes x 30 contexts visited at random: more keys than
+    # the memo keeps, so entries are hit, evicted and computed again
+    rng = random.Random(20261020)
+    full = list(DEFAULT_CATALOG)
+    scopes = [rng.sample(full, rng.randint(3, len(full))) for _ in range(2)]
+    policies = [
+        weighted_policy({f.id: rng.uniform(0.1, 3.0) for f in full}, threshold=2.0),
+        Policy(Strategy.weighted(1.5), {f.id: rng.uniform(0.1, 3.0) for f in full}, use_likelihood=True),
+        Policy(Strategy.k_of_n(2)),
+    ]
+    conditions = [_random_conditions(rng) for _ in range(15)]
+    phased = [(c, phase) for c in conditions for phase in (None, rng.choice(list(SessionPhase)))]
+    cases = [(rng.choice(policies), rng.choice(scopes), rng.choice(phased)) for _ in range(300)]
+    assert len({(p, tuple(s), ContextState(c, ph)) for p, s, (c, ph) in cases}) > 64
+
+    def adapted(policy, scope, conditions, phase):
+        try:  # a context built afresh: the memo keys on its value
+            return effective_weights(policy, scope, ContextState(dict(conditions), phase))
+        except NoUsableFactorsError:
+            return None
+
+    trust._adapted_weights.cache_clear()
+    memoized = [adapted(p, s, *c) for p, s, c in cases]
+    info = trust._adapted_weights.cache_info()
+    assert info.hits > 0 and info.currsize == info.maxsize == 64
+    for (policy, scope, phased_conditions), weights in zip(cases, memoized):
+        trust._adapted_weights.cache_clear()
+        fresh = adapted(policy, scope, *phased_conditions)
+        if weights is None:
+            assert fresh is None
+            continue
+        assert [(k, v.hex()) for k, v in weights.items()] == [(k, v.hex()) for k, v in fresh.items()]
+        records = [EvidenceRecord(fid, rng.randint(0, 1), likelihood=rng.random(), trust=rng.random())
+                   for fid, phi in weights.items() if phi > 0.0]
+        checked = Policy(policy.strategy, dict(weights), policy.use_likelihood)
+        assert decide(records, policy.with_weights(weights), scope) == decide(records, checked, scope)
+
+
+def test_an_overflowed_weight_comes_back_and_with_weights_refuses_it():
+    # the renormalizing scale 1e300 / 1e-10 overflows to inf
+    catalog = [BY_ID["fingerprint"], BY_ID["token"]]
+    policy = weighted_policy({"fingerprint": 1e300, "token": 1e-10})
+    for _ in range(2):  # computed, then answered again
+        out = effective_weights(policy, catalog, ContextState.nominal(gloves_worn=True))
+        assert dict(out) == {"fingerprint": 0.0, "token": math.inf}
+        with pytest.raises(ConfigError, match=r"^weights\.token: must be finite and non-negative, got inf$"):
+            policy.with_weights(out)
+
+
+def test_the_decide_stream_gates_once_per_set_of_conditions(monkeypatch):
+    calls = []
+    gate = trust.gate_factors
+
+    def counted(catalog, ctx, rules):
+        calls.append(ctx)
+        return gate(catalog, ctx, rules)
+
+    monkeypatch.setattr(trust, "gate_factors", counted)
+    trust._adapted_weights.cache_clear()
+    policy = weighted_policy({f.id: 1.0 for f in DEFAULT_CATALOG}, threshold=3.0)
+    rng = random.Random(9001)
+    drawn = set()
+    for _ in range(200):
+        # the benchmark's decide stream: 2^4 sets of conditions, each built afresh
+        conditions = {
+            "gloves_worn": rng.random() < 0.3,
+            "darkness": rng.random() < 0.3,
+            "precipitation": rng.random() < 0.2,
+            "noise_level": "high" if rng.random() < 0.3 else "low",
+        }
+        drawn.add(tuple(conditions.values()))
+        weights = effective_weights(policy, DEFAULT_CATALOG, ContextState(conditions))
+        assert policy.with_weights(weights).weights is weights
+    assert len(calls) == len(drawn) <= 16
+
+    # a call that raises keeps nothing, so it gates again the next time
+    size = trust._adapted_weights.cache_info().currsize
+    gloved = [BY_ID["fingerprint"], BY_ID["vein_recognition"]]
+    for _ in range(2):
+        with pytest.raises(NoUsableFactorsError):
+            effective_weights(policy, gloved, ContextState.nominal(gloves_worn=True))
+        assert trust._adapted_weights.cache_info().currsize == size
+    assert len(calls) == len(drawn) + 2
