@@ -26,8 +26,9 @@ from .errors import ConfigError
 
 # Maps key paths like ("factors", 3, "far") to 1-based line numbers.
 LineMap = dict[tuple, int]
-# Deepest flow nesting read; PyYAML's composer fails near 500, after a scan quadratic in the depth.
-MAX_FLOW_DEPTH = 512
+# Deepest flow nesting read: well below the 476-493 levels at which PyYAML's recursive composer
+# fails, by caller stack depth, so whether a document loads does not depend on its caller.
+MAX_FLOW_DEPTH = 128
 
 
 def dotted(path: tuple) -> str:

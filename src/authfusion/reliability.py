@@ -3,7 +3,7 @@
 All composition assumes independent factors. Counting strategies reduce
 to tails of a Poisson-binomial pass-count distribution, computed by exact
 dynamic programming that a sweep extends from n to n+1 factors (O(N^2) over
-1..N); the weighted-threshold rule, fsum(passing weights) > T as decide()
+1..N; its all and any rows take O(1) steps each); the weighted-threshold rule, fsum(passing weights) > T as decide()
 applies it, is evaluated exactly by whichever of two enumerations is
 smaller: per weight class, one pass-count DP per distinct weight and one
 row per vector of class pass counts, prod(n_c + 1) rows; or meet-in-the-
@@ -21,13 +21,14 @@ separately where a closed product form exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,31 +155,39 @@ def compose_any(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
 # the compositions proper, for callers that validated their pairs already
 
 
-def _all_rates(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
-    far = math.prod(far for far, _ in pairs)
-    # P(some check fails), partitioned by the first failing factor; summing
-    # the disjoint masses directly avoids the 1 - prod(1 - frr) round trip,
-    # so one factor composes to exactly its own frr and tiny rates keep
-    # their relative precision
-    terms = []
-    survive = 1.0
-    for _, frr in pairs:
-        terms.append(frr * survive)
-        survive *= 1.0 - frr
-    frr = math.fsum(terms)
-    far, far_uf = _floored(far, all(f > 0.0 for f, _ in pairs))
-    frr, frr_uf = _floored(frr, any(f > 0.0 for _, f in pairs))
+def _all_steps(pairs: Iterable[tuple[float, float]]) -> Iterator[tuple[float, list[float]]]:
+    # the pass-all state after each factor: the far product, in math.prod's
+    # order and type, and P(some check fails) as its masses partitioned by
+    # the first failing factor. Summing those directly avoids the
+    # 1 - prod(1 - frr) round trip, so one factor composes to exactly its own
+    # frr and tiny rates keep their relative precision. The list grows in place
+    far, terms, survive = 1, [], 1.0
+    for f, r in pairs:
+        far *= f
+        terms.append(r * survive)
+        survive *= 1.0 - r
+        yield far, terms
+
+
+def _all_composite(far: float, terms: list[float], far_possible: bool, frr_possible: bool) -> CompositeRates:
+    far, far_uf = _floored(far, far_possible)
+    frr, frr_uf = _floored(math.fsum(terms), frr_possible)
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
+def _swapped(rates: CompositeRates) -> CompositeRates:
+    # pass-any is pass-all with the error roles swapped
+    return CompositeRates(far=rates.frr, frr=rates.far, far_underflow=rates.frr_underflow, frr_underflow=rates.far_underflow)
+
+
+def _all_rates(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
+    for far, terms in _all_steps(pairs):
+        pass
+    return _all_composite(far, terms, all(f > 0.0 for f, _ in pairs), any(f > 0.0 for _, f in pairs))
+
+
 def _any_rates(pairs: Sequence[tuple[float, float]]) -> CompositeRates:
-    inner = _all_rates([(frr, far) for far, frr in pairs])
-    return CompositeRates(
-        far=inner.frr,
-        frr=inner.far,
-        far_underflow=inner.frr_underflow,
-        frr_underflow=inner.far_underflow,
-    )
+    return _swapped(_all_rates([(frr, far) for far, frr in pairs]))
 
 
 def compose_kofn(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates:
@@ -188,34 +197,28 @@ def compose_kofn(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates
     equivalences hold exactly, not merely to tolerance.
     """
     _validate_pairs(pairs)
-    if (rates := _kofn_boundary(pairs, k)) is not None:
-        return rates
-    # fail probabilities come from the source data, not from 1 - pass
-    adversary = _pass_counts([(far, 1.0 - far) for far, _ in pairs])
-    legitimate = _pass_counts([(1.0 - frr, frr) for _, frr in pairs])
-    return _kofn_tails(adversary, legitimate, k, pairs)
-
-
-def _kofn_boundary(pairs: Sequence[tuple[float, float]], k: int) -> CompositeRates | None:
-    # the k check, and k = n / k = 1 routed to compose_all / compose_any so
-    # the boundary equivalences hold exactly; None when 1 < k < n
-    n = len(pairs)
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise ConfigError(f"k must be an integer in [1, {n}]", field="k")
-    if k == n:
+    _check_k(k, len(pairs))
+    if k == len(pairs):
         return _all_rates(pairs)
     if k == 1:
         return _any_rates(pairs)
-    return None
+    # fail probabilities come from the source data, not from 1 - pass
+    adversary = _pass_counts([(far, 1.0 - far) for far, _ in pairs])
+    legitimate = _pass_counts([(1.0 - frr, frr) for _, frr in pairs])
+    return _kofn_tails(adversary, legitimate, k, sum(1 for f, _ in pairs if f > 0.0), sum(1 for _, f in pairs if f == 0.0))
 
 
-def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, pairs: Sequence[tuple[float, float]]) -> CompositeRates:
+def _check_k(k: int, n: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+        raise ConfigError(f"k must be an integer in [1, {n}]", field="k")
+
+
+def _kofn_tails(adversary: list[float], legitimate: list[float], k: int, can_pass: int, sure_pass: int) -> CompositeRates:
     # positivity: >= k can pass iff at least k factors have positive pass
-    # probability; < k can happen iff fewer than k factors pass for certain
-    far_possible = sum(1 for f, _ in pairs if f > 0.0) >= k
-    frr_possible = sum(1 for _, f in pairs if f == 0.0) < k
-    far, far_uf = _floored(math.fsum(adversary[k:]), far_possible)
-    frr, frr_uf = _floored(math.fsum(legitimate[:k]), frr_possible)
+    # probability (can_pass); < k can happen iff fewer than k factors pass
+    # for certain (sure_pass)
+    far, far_uf = _floored(math.fsum(adversary[k:]), can_pass >= k)
+    frr, frr_uf = _floored(math.fsum(legitimate[:k]), sure_pass < k)
     return CompositeRates(far=far, frr=frr, far_underflow=far_uf, frr_underflow=frr_uf)
 
 
@@ -544,12 +547,13 @@ class SweepRow:
     log10_frr: float
 
 
-def _log10_rate(value: float, log_factors: Sequence[float] | None = None) -> float:
+def _log10_rate(value: float, base: float = 0.0, n: int = 0) -> float:
     if value > 0.0:
         return math.log10(value)
-    if log_factors is not None and all(v > 0.0 for v in log_factors):
-        # underflowed pure product: recover the magnitude in log space
-        return math.fsum(math.log10(v) for v in log_factors)
+    if base > 0.0:
+        # value is base**n underflowed: recover the magnitude in log space.
+        # n * log10(base) is the correctly rounded sum of n equal logs
+        return n * math.log10(base)
     return float("-inf")
 
 
@@ -576,34 +580,41 @@ def sweep(
     if ns[0] < 1:
         raise ConfigError("n must be at least 1", field="n_range")
 
-    # one running pass-count DP per population, extended to each n with a
-    # balanced 1 < k < n row: its state after n factors is exactly what
-    # compose_kofn builds for n, so the sweep takes O(N^2) steps, not O(N^3)
+    # the pass-all state and its pass-any dual (_all_steps), one step per n,
+    # and one running pass-count DP per population, extended to each n with
+    # a balanced 1 < k < n row. Each state after n factors is exactly what
+    # compose_all, compose_any and compose_kofn build for n, so all and any
+    # rows take O(1) steps each and balanced rows O(N^2) over 1..N, not O(N^3)
+    steps = enumerate(zip(_all_steps(itertools.repeat((far, frr))), _all_steps(itertools.repeat((frr, far)))), 1)
     adversary, legitimate = [1.0], [1.0]
-    rows = []
+    done, rows = 0, []
     for n in ns:
-        pairs = [(far, frr)] * n
+        while done < n:
+            done, ((far_n, frr_terms), (frr_n, far_terms)) = next(steps)
+        all_rates = _all_composite(far_n, frr_terms, far > 0.0, frr > 0.0)
+        any_rates = _swapped(_all_composite(frr_n, far_terms, frr > 0.0, far > 0.0))
         for name in sorted(set(strategies)):
             if name == "all":
-                k_eff, rates = n, _all_rates(pairs)
-                log_far = _log10_rate(rates.far, [far] * n)
-                log_frr = _log10_rate(rates.frr)
+                k_eff, rates = n, all_rates
+                log_far, log_frr = _log10_rate(rates.far, far, n), _log10_rate(rates.frr)
             elif name == "any":
-                k_eff, rates = 1, _any_rates(pairs)
-                log_far = _log10_rate(rates.far)
-                log_frr = _log10_rate(rates.frr, [frr] * n)
+                k_eff, rates = 1, any_rates
+                log_far, log_frr = _log10_rate(rates.far), _log10_rate(rates.frr, frr, n)
             else:
                 k_eff = k_rule(n)
                 if not 1 <= k_eff <= n:
                     raise ConfigError(f"k rule produced {k_eff}, outside [1, {n}]", field="k")
-                rates = _kofn_boundary(pairs, k_eff)
-                if rates is None:
+                _check_k(k_eff, n)
+                if k_eff == n:
+                    rates = all_rates
+                elif k_eff == 1:
+                    rates = any_rates
+                else:
                     while len(adversary) <= n:
                         adversary = _pass_step(adversary, far, 1.0 - far)
                         legitimate = _pass_step(legitimate, 1.0 - frr, frr)
-                    rates = _kofn_tails(adversary, legitimate, k_eff, pairs)
-                log_far = _log10_rate(rates.far)
-                log_frr = _log10_rate(rates.frr)
+                    rates = _kofn_tails(adversary, legitimate, k_eff, n * (far > 0.0), n * (frr == 0.0))
+                log_far, log_frr = _log10_rate(rates.far), _log10_rate(rates.frr)
             rows.append(
                 SweepRow(n=n, strategy=name, k=k_eff, far=rates.far, frr=rates.frr,
                          log10_far=log_far, log10_frr=log_frr)

@@ -536,7 +536,7 @@ def validate_scenario(scenario: Scenario, catalog: Sequence[Factor], policy: Pol
     try:
         _plan_memo(scenario, tuple(catalog), policy)
     except AuthFusionError as exc:
-        return _static_problems(scenario, catalog, policy) or [str(exc)]
+        return getattr(exc, "problems", None) or [str(exc)]
     return []
 
 
@@ -983,9 +983,10 @@ def _plan_memo(scenario: Scenario, catalog: tuple[Factor, ...], policy: Policy) 
     whose checks or build failed is never kept, so it raises again on
     every call. A key that cannot be hashed (a list-valued condition) is
     validated and planned afresh."""
-    problems = _static_problems(scenario, catalog, policy)
-    if problems:
-        raise ConfigError("scenario invalid: " + "; ".join(problems))
+    if problems := _static_problems(scenario, catalog, policy):
+        error = ConfigError("scenario invalid: " + "; ".join(problems))
+        error.problems = problems  # for validate_scenario, which lists them
+        raise error
     return _build_plan(scenario, catalog, policy)[1]
 
 

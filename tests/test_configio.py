@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 
 import pytest
 import yaml
@@ -487,17 +486,30 @@ def test_deep_flow_nesting_is_refused_at_the_cap(monkeypatch):
         load_scenario("schema_version: 1\nname:\n  " + "[" * 3000 + "]" * 3000 + "\n")
     assert err.value.line == 3
     assert len(levels) <= configio.MAX_FLOW_DEPTH + 1
-    # the deepest flow nesting PyYAML composes from a shallow stack, such
-    # as a new thread's, still loads
-    loaded = []
-    thread = threading.Thread(target=lambda: loaded.extend(configio.load_document("[" * 493 + "]" * 493)))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and loaded
-    data, depth = loaded[0], 0
+    # a document at the cap loads; one level deeper is refused
+    cap = configio.MAX_FLOW_DEPTH
+    assert _flow_depth(configio.load_document("[" * cap + "]" * cap)[0]) == cap
+    with pytest.raises(ConfigError, match="malformed document: nested too deeply to parse"):
+        configio.load_document("[" * (cap + 1) + "]" * (cap + 1))
+
+
+def _flow_depth(data) -> int:
+    depth = 1
     while data:
         data, depth = data[0], depth + 1
-    assert depth == 493 - 1
+    return depth
+
+
+def test_a_document_at_the_cap_loads_under_a_deep_caller_stack():
+    # PyYAML's composer recurses about two frames per level, so it fails
+    # 476-493 levels deep by the caller's depth; the cap sits far enough
+    # below that for a caller 400 frames deep to load a document at the cap
+    cap = configio.MAX_FLOW_DEPTH
+
+    def load_under(frames: int):
+        return load_under(frames - 1) if frames else configio.load_document("[" * cap + "]" * cap)[0]
+
+    assert _flow_depth(load_under(400)) == cap
 
 
 # Stand-ins that the fuzz swaps for text yaml.safe_dump cannot write: an

@@ -701,9 +701,17 @@ def test_sweep_rejects_unknown_strategy():
 
 
 def _fresh_row(far, frr, n, strategy, k_rule):
-    # each n composed from scratch by the public calls, rebuilding the DP
+    # each n composed from scratch by the public calls, rebuilding the DP;
+    # the log of an underflowed product is the fsum of its factors' logs
     pairs = [(far, frr)] * n
-    log10 = reliability._log10_rate
+
+    def log10(value, factors=None):
+        if value > 0.0:
+            return math.log10(value)
+        if factors is not None and all(v > 0.0 for v in factors):
+            return math.fsum(math.log10(v) for v in factors)
+        return -math.inf
+
     if strategy == "all":
         rates = compose_all(pairs)
         return n, rates, log10(rates.far, [far] * n), log10(rates.frr)
@@ -726,6 +734,14 @@ def _fresh_row(far, frr, n, strategy, k_rule):
         (1.0, 1.0, range(1, 41), majority_k),
         (0.0, 1.0, [3, 40, 9], lambda n: max(1, n // 3)),
         (1e-30, 1e-30, range(1, 61), majority_k),
+        (-0.0, 0.02, range(1, 41), majority_k),
+        (0.0003, -0.0, range(1, 41), lambda n: max(1, n // 3)),
+        (5e-324, 0.02, range(1, 41), majority_k),
+        (0.15, 5e-324, range(1, 41), majority_k),
+        (1e-310, 0.9, range(1, 41), majority_k),
+        (0.0003, 1e-310, [2, 60, 7], lambda n: max(1, n // 3)),
+        (0.00031, 0.0203, range(1, 193), majority_k),
+        (0.0003, 0.02, [250, 3, 90], majority_k),
     ],
 )
 def test_sweep_rows_equal_fresh_per_n_calls(far, frr, ns, k_rule):
@@ -774,3 +790,26 @@ def test_sweep_extends_one_pass_count_dp_per_population(monkeypatch):
     assert steps == 0
     compose_kofn(SEVEN, 4)
     assert steps == 14
+
+
+def test_sweep_extends_the_pass_all_and_pass_any_state_once_per_n(monkeypatch):
+    steps = 0
+    all_steps = reliability._all_steps
+
+    def counted(pairs):
+        nonlocal steps
+        for state in all_steps(pairs):
+            steps += 1
+            yield state
+
+    monkeypatch.setattr(reliability, "_all_steps", counted)
+    # one pass-all and one pass-any step per n up to the largest, not one per factor of every row
+    for ns, top in ((range(1, 81), 80), ([250, 3, 90], 250)):
+        steps = 0
+        sweep(0.0003, 0.02, ns)
+        assert steps == 2 * top
+    steps = 0
+    compose_all(SEVEN)
+    compose_any(SEVEN)
+    compose_kofn(SEVEN, 7)
+    assert steps == 21

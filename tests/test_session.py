@@ -579,6 +579,22 @@ def test_validate_scenario_rejects_bad_change_times():
     assert validate_scenario(ordered, DEFAULT_CATALOG, W_POLICY) == []
 
 
+def test_validate_scenario_runs_the_static_checks_once(monkeypatch):
+    calls = 0
+    static = session._static_problems
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return static(*args)
+
+    monkeypatch.setattr(session, "_static_problems", counted)
+    # an invalid key is never kept, so every call misses the plan memo
+    problems = validate_scenario(Scenario(factors=("token", "nope")), DEFAULT_CATALOG, Policy(Strategy.k_of_n(2)))
+    assert problems == ["unknown factor 'nope'"]
+    assert calls == 1
+
+
 def test_validate_scenario_checks_the_machine_builds():
     sc = Scenario(config=SessionConfig(t_basic=2.5))
     problems = validate_scenario(sc, CATALOG3, W_POLICY)
