@@ -463,6 +463,19 @@ def _run_shards(trials: int, seed_seq: np.random.SeedSequence, workers: int, sha
     return [shard_fn(*job) for job in jobs]
 
 
+def _uniform_blocks(rng: np.random.Generator, size: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first_row, block) over the rows of rng.random((size, cols)), in order
+    and with the same draws. Each block is drawn into one reused buffer of
+    2^17 floats (1 MiB), or of 4,096 rows past 32 cols: read a block before
+    asking for the next."""
+    rows = max(4096, (1 << 17) // max(cols, 1))
+    block = np.empty((min(size, rows), cols))
+    for lo in range(0, size, rows):
+        u = block[: size - lo]
+        rng.random(out=u)
+        yield lo, u
+
+
 def _passes_per_row(passes: np.ndarray, cols: Iterable[int] | None = None) -> np.ndarray:
     """Passes per row over cols (default: every column), one column at a
     time, read in place: faster than passes.sum(axis=1)."""
@@ -473,15 +486,17 @@ def _passes_per_row(passes: np.ndarray, cols: Iterable[int] | None = None) -> np
 
 
 def _mc_rates(pairs: Sequence[tuple[float, float]], grant: Callable, trials: int, seed: int, workers: int) -> MonteCarloRates:
-    """Seeded FAR/FRR estimate of a grant rule over (far, frr) pairs. Each
-    population's granted trials are summed over independently seeded shards."""
+    """Seeded FAR/FRR estimate of a row-wise grant rule over (far, frr)
+    pairs. Each population's granted trials are summed over independently
+    seeded shards, and within a shard block by block, so a shard holds one
+    block of uniforms whatever the trials."""
 
     def granted(pass_probs: list[float], seed_seq: np.random.SeedSequence) -> int:
         probs = np.asarray(pass_probs)
 
         def run(child: np.random.SeedSequence, size: int) -> int:
-            passes = np.random.default_rng(child).random((size, len(probs))) < probs
-            return int(np.count_nonzero(grant(passes)))
+            blocks = _uniform_blocks(np.random.default_rng(child), size, len(probs))
+            return sum(int(np.count_nonzero(grant(u < probs))) for _, u in blocks)
         return sum(_run_shards(trials, seed_seq, workers, run))
 
     adversary_seq, legitimate_seq = np.random.SeedSequence(seed).spawn(2)

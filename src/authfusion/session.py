@@ -45,7 +45,7 @@ from .configio import FrozenMap
 from .context import DEFAULT_CONTEXT_RULES, ContextRule, ContextState, SessionPhase
 from .errors import AuthFusionError, ConfigError, EvaluationError
 from .fusion import EvidenceRecord, Policy, StrategyKind, _weighted_terms, decide
-from .reliability import _fmt17, _passes_per_row, _run_shards, _weighted_above
+from .reliability import _fmt17, _passes_per_row, _run_shards, _uniform_blocks, _weighted_above
 from .trust import effective_weights
 
 _PRE = SessionPhase.PRE_AUTHENTICATION
@@ -754,8 +754,9 @@ def _build_plan(scenario: Scenario, catalog: Sequence[Factor], policy: Policy) -
 
 def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenario: Scenario):
     """Draw one shard's randomness in a fixed order: population, one uniform
-    per scheduled firing, one per session for monitoring. Adversary rows of
-    passes are compared again in place: no sessions x factors threshold matrix.
+    per scheduled firing, one per session for monitoring. Only the bool
+    pass matrix is held: the firings' uniforms are drawn one reused block
+    at a time, and a block's adversary rows are compared again in place.
 
     Scorable checks fail independently at the session's per-check rate
     q, so the rank of the first failure among them is geometric, drawn
@@ -765,9 +766,12 @@ def _sample_shard(child: np.random.SeedSequence, size: int, plan: _Plan, scenari
     rng = np.random.default_rng(child)
     adversary = rng.random(size) < scenario.adversary_fraction
     firings = plan.pre + plan.active
-    u = rng.random((size, len(firings)))
-    passes = u < np.array([1.0 - x.frr for x in firings])
-    np.less(u, np.array([x.far for x in firings]), out=passes, where=adversary[:, None])
+    legit, far = np.array([1.0 - x.frr for x in firings]), np.array([x.far for x in firings])
+    passes = np.empty((size, len(firings)), dtype=bool)
+    for lo, u in _uniform_blocks(rng, size, len(firings)):
+        hi = lo + len(u)
+        np.less(u, legit, out=passes[lo:hi])
+        np.less(u, far, out=passes[lo:hi], where=adversary[lo:hi, None])
     if not plan.scorable:
         return adversary, passes, np.full(size, plan.n_checks, dtype=np.int64)
 

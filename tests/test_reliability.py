@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -557,6 +558,43 @@ def test_passes_per_row_equals_row_sum(cols):
     assert np.array_equal(counts, passes.sum(axis=1))
 
 
+def _block_rows(cols):
+    # the generator's block height for cols columns: its first block's rows
+    return len(next(reliability._uniform_blocks(np.random.default_rng(0), 1 << 20, cols))[1])
+
+
+@pytest.mark.parametrize("cols", [0, 1, 3, 13, 300])
+@pytest.mark.parametrize("shift", [None, -1, 0, 1])
+def test_uniform_blocks_are_the_draws_of_one_call(cols, shift):
+    # a shard of 1 row, a block's rows -1/+0/+1, or 2^16 rows; the state
+    # afterwards matches too, so a draw made next (monitoring) is unchanged
+    sizes = [1, 1 << 16] if shift is None else [_block_rows(cols) + shift]
+    for size in sizes:
+        rng, want = np.random.default_rng(size), np.random.default_rng(size)
+        whole = want.random((size, cols))
+        rows = 0
+        for lo, block in reliability._uniform_blocks(rng, size, cols):
+            assert lo == rows and len(block) > 0
+            assert np.array_equal(block, whole[lo:lo + len(block)])
+            rows += len(block)
+        assert rows == size
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random() == want.random()
+
+
+def test_monte_carlo_holds_one_block_per_shard():
+    # a whole-shard draw over 300 factors would hold 2^16 x 300 floats,
+    # 157 MB; numpy reports its buffers to tracemalloc
+    factors = [replace(DEFAULT_CATALOG[i % 14], id=f"f{i}") for i in range(300)]
+    tracemalloc.start()
+    try:
+        monte_carlo_rates(factors, Policy(Strategy.k_of_n(150)), 1 << 16, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def _recount(pairs, rule, trials, seed):
     # the estimator's shards and draws, scored by a short-axis reduce
     full, rem = divmod(trials, 1 << 16)
@@ -585,6 +623,28 @@ def test_monte_carlo_counting_events_equal_a_row_reduce_recount(strategy, rule, 
     far_events, frr_events = _recount([(f.far, f.frr) for f in factors], rule, 150_000, 41)
     assert (est.far.events, est.frr.events) == (far_events, frr_events)
     assert 0 < far_events < 150_000 and 0 < frr_events < 150_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_weighted_events_equal_a_per_row_fsum_recount(workers):
+    # 70,000 trials cross a shard boundary and many block boundaries; rows
+    # passing the first three weights tie T, where a float sum would grant
+    weights = (0.1, 0.2, 0.3, 1 / 3, 0.4, 0.6, 0.7)
+    threshold = 0.6
+    assert math.fsum(weights[:3]) == threshold < sum(weights[:3])
+    factors = [replace(f, far=0.2 + 0.1 * i, frr=0.05 + 0.05 * i, vendor_accuracy=1.0)
+               for i, f in enumerate(DEFAULT_CATALOG[:7])]
+    pairs = [(f.far, f.frr) for f in factors]
+    rule = lambda passes: np.array([math.fsum(w for w, p in zip(weights, row) if p) > threshold
+                                    for row in passes.tolist()])
+    want = _recount(pairs, rule, 70_000, 43)
+    policy = Policy(Strategy.weighted(threshold), {f.id: w for f, w in zip(factors, weights)})
+    via_rates = monte_carlo_rates(factors, policy, 70_000, seed=43, workers=workers)
+    via_compose = compose_weighted(quints(pairs, weights), threshold, mode="monte-carlo",
+                                   trials=70_000, seed=43, workers=workers)
+    for est in (via_rates, via_compose):
+        assert (est.far.events, est.frr.events) == want
+    assert 0 < want[0] < 70_000 and 0 < want[1] < 70_000
 
 
 def test_monte_carlo_single_trial_degenerate():

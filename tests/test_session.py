@@ -7,6 +7,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -968,6 +969,40 @@ def test_sampled_passes_equal_a_per_session_threshold_matrix(fraction):
     legit = np.array([1.0 - BY_ID[x.factor_id].frr for x in firings])
     assert np.array_equal(adversary, adv)
     assert np.array_equal(passes, u < np.where(adv[:, None], far, legit))
+
+
+def test_sampled_passes_equal_the_threshold_matrix_across_blocks():
+    # a shard of 14 firings that spans three and a bit draw blocks, so
+    # every block's adversary rows line up with its own sessions
+    scenario = Scenario(adversary_fraction=0.3)
+    _, plan = _build_plan(scenario, DEFAULT_CATALOG, Policy(Strategy.k_of_n(3)))
+    firings = plan.pre + plan.active
+    size = 3 * len(next(reliability._uniform_blocks(np.random.default_rng(0), 1 << 16, len(firings)))[1]) + 1
+    child = np.random.SeedSequence(23).spawn(1)[0]
+    adversary, passes, _ = _sample_shard(child, size, plan, scenario)
+    rng = np.random.default_rng(child)
+    adv = rng.random(size) < 0.3
+    u = rng.random((size, len(firings)))
+    far = np.array([x.far for x in firings])
+    legit = np.array([1.0 - x.frr for x in firings])
+    assert np.array_equal(adversary, adv)
+    assert np.array_equal(passes, u < np.where(adv[:, None], far, legit))
+
+
+def test_a_sampled_shard_holds_only_its_bool_pass_matrix():
+    # one 2^16-session shard of 13 firings: the float draws come one reused
+    # block at a time, where a sessions x firings float matrix is 6.8 MB
+    scenario = Scenario(adversary_fraction=0.25, factors=tuple(f.id for f in DEFAULT_CATALOG[:13]))
+    _, plan = _build_plan(scenario, DEFAULT_CATALOG, Policy(Strategy.k_of_n(3)))
+    assert len(plan.pre + plan.active) == 13
+    child = np.random.SeedSequence(29).spawn(1)[0]
+    tracemalloc.start()
+    try:
+        _sample_shard(child, 1 << 16, plan, scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize("cols", [13, 16])
